@@ -9,17 +9,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import __version__
 from . import io as pio
 from .errors import DataError, NumericError, ProxyOTError, UsageError
-from .fixture import FixtureSpec, generate_fixture, write_fixture
-from .learner import LearnConfig, learn
-from .numerics import l2_normalize_rows
-from .pipeline import MODES, RunSpec, bench_solvers, run
-from .retrieval import build_text_proxies, retrieve
-from .solvers import ALGORITHMS, ClassMarginal, SolverConfig, pseudo_labels, solve
+from .fixture import NAME_NOISE_FACTOR, FixtureSpec, generate_fixture, write_fixture
+from .learner import LearnConfig
+from .pipeline import MODES, RunSpec, bench_solvers, learn_stage, load, run
+from .pipeline import solver_diagnostics, text_stage, transport_stage
+from .solvers import ALGORITHMS, SolverConfig
 
 __all__ = ["main"]
 
@@ -47,93 +47,40 @@ def _add_io_flags(p: argparse.ArgumentParser, labels: str = "optional") -> None:
     )
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--algorithm", choices=ALGORITHMS, help="transport solver")
-    p.add_argument("--tau-ot", type=float, help="transport temperature")
-    p.add_argument("--max-iterations", type=int, help="solver iteration cap")
-    p.add_argument("--tolerance", type=float, help="marginal violation target")
-
-
-def _add_learn_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tau-learn", type=float, help="softmax temperature for learning")
-    p.add_argument("--lr", type=float, help="learning rate")
-    p.add_argument("--momentum", type=float, help="descent momentum in [0, 1)")
-    p.add_argument("--epochs", type=int, help="maximum learning epochs")
-
-
-def _add_retrieval_flags(p: argparse.ArgumentParser) -> None:
+def _add_chain_flags(p: argparse.ArgumentParser, stages: int = 3) -> None:
+    """Flags of the first ``stages`` kpl_full stages: retrieval, transport, learning."""
     p.add_argument("--k", type=int, help="descriptions retrieved per class (default 3)")
+    if stages >= 2:
+        p.add_argument("--algorithm", choices=ALGORITHMS, help="transport solver")
+        p.add_argument("--tau-ot", type=float, help="transport temperature")
+        p.add_argument("--max-iterations", type=int, help="solver iteration cap")
+        p.add_argument("--tolerance", type=float, help="marginal violation target")
+    if stages >= 3:
+        p.add_argument("--tau-learn", type=float, help="softmax temperature for learning")
+        p.add_argument("--lr", dest="learning_rate", type=float, help="learning rate")
+        p.add_argument("--momentum", type=float, help="descent momentum in [0, 1)")
+        p.add_argument("--epochs", dest="max_epochs", type=int, help="maximum learning epochs")
 
 
-def _solver_config(args) -> SolverConfig:
-    kw = {}
-    if getattr(args, "algorithm", None) is not None:
-        kw["algorithm"] = args.algorithm
-    if getattr(args, "tau_ot", None) is not None:
-        kw["tau_ot"] = args.tau_ot
-    if getattr(args, "max_iterations", None) is not None:
-        kw["max_iterations"] = args.max_iterations
-    if getattr(args, "tolerance", None) is not None:
-        kw["tolerance"] = args.tolerance
-    return SolverConfig(**kw)
+def _flags(args, config) -> dict:
+    """Keyword arguments for the dataclass ``config`` from the flags the user set."""
+    return {
+        f.name: getattr(args, f.name)
+        for f in fields(config)
+        if getattr(args, f.name, None) is not None
+    }
 
 
-def _learn_config(args) -> LearnConfig:
-    kw = {}
-    if getattr(args, "tau_learn", None) is not None:
-        kw["tau_learn"] = args.tau_learn
-    if getattr(args, "lr", None) is not None:
-        kw["learning_rate"] = args.lr
-    if getattr(args, "momentum", None) is not None:
-        kw["momentum"] = args.momentum
-    if getattr(args, "epochs", None) is not None:
-        kw["max_epochs"] = args.epochs
-    return LearnConfig(**kw)
-
-
-def _run_spec(args, mode: str | None = None) -> RunSpec:
-    kw = {}
-    if getattr(args, "k", None) is not None:
-        kw["k"] = args.k
+def _run_spec(args) -> RunSpec:
     return RunSpec(
-        mode=mode if mode is not None else args.mode,
-        images=args.images,
-        kb=args.kb,
-        labels=getattr(args, "labels", None),
-        marginal=getattr(args, "marginal", None),
-        solver=_solver_config(args),
-        learn=_learn_config(args),
-        seed=getattr(args, "seed", None),
-        **kw,
+        solver=SolverConfig(**_flags(args, SolverConfig)),
+        learn=LearnConfig(**_flags(args, LearnConfig)),
+        **_flags(args, RunSpec),
     )
 
 
 def _predictions_csv_path(out: Path) -> Path:
     return out.with_suffix(".csv") if out.suffix else out.with_name(out.name + ".csv")
-
-
-def _similarity_instance(args):
-    """Image/proxy similarity matrix plus marginal, shared by plan and bench-ot."""
-    images = pio.read_embeddings(args.images)
-    kb = pio.read_knowledge_base(args.kb)
-    if images.shape[1] != kb.dim:
-        raise DataError(
-            f"{args.images}: image rows have dim {images.shape[1]} but "
-            f"{args.kb} declares dim {kb.dim}"
-        )
-    images = l2_normalize_rows(images)
-    k = args.k if getattr(args, "k", None) is not None else 3
-    proxies = build_text_proxies(kb, retrieve(images, kb, k))
-    if getattr(args, "marginal", None):
-        q = pio.read_marginal(args.marginal)
-        if len(q) != kb.n_classes:
-            raise DataError(
-                f"{args.marginal}: marginal has {len(q)} entries but "
-                f"{args.kb} has {kb.n_classes} classes"
-            )
-    else:
-        q = ClassMarginal.uniform(kb.n_classes)
-    return images @ proxies.w.T, q, kb.names
 
 
 def _cmd_pipeline(args) -> int:
@@ -150,10 +97,6 @@ def _cmd_pipeline(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
-    return _cmd_pipeline(args)
-
-
 def _cmd_classify(args) -> int:
     report = run(_run_spec(args))
     pio.write_predictions_csv(Path(args.out), report.predictions, report.class_names)
@@ -161,14 +104,17 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+# The stage subcommands are views of the kpl_full chain (their parsers set the
+# mode): each runs the chain up to the stage whose output it shows.
+
+
 def _cmd_retrieve(args) -> int:
-    images = pio.read_embeddings(args.images)
-    kb = pio.read_knowledge_base(args.kb)
-    images = l2_normalize_rows(images)
-    k = args.k if args.k is not None else 3
-    result = retrieve(images, kb, k)
+    spec = _run_spec(args)
+    inputs = load(spec)
+    kb = inputs.kb
+    selection, _ = text_stage(inputs, spec.k)
     doc = {
-        "k": k,
+        "k": spec.k,
         "classes": [
             {
                 "name": rec.name,
@@ -176,46 +122,38 @@ def _cmd_retrieve(args) -> int:
                 "scores": scores.tolist(),
                 "descriptions": [rec.descriptions[i] for i in idx],
             }
-            for rec, idx, scores in zip(kb.classes, result.selected, result.scores)
+            for rec, idx, scores in zip(kb.classes, selection.selected, selection.scores)
         ],
     }
-    Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    print(f"retrieved top-{k} descriptions for {kb.n_classes} classes -> {args.out}")
+    pio.write_report(doc, args.out)
+    print(f"retrieved top-{spec.k} descriptions for {kb.n_classes} classes -> {args.out}")
     return 0
 
 
 def _cmd_plan(args) -> int:
-    similarity, q, names = _similarity_instance(args)
-    cfg = _solver_config(args)
-    plan = solve(similarity, cfg, q)
-    guide = pseudo_labels(plan)
+    spec = _run_spec(args)
+    inputs = load(spec)
+    _, proxies = text_stage(inputs, spec.k)
+    plan, guide = transport_stage(inputs, proxies, spec.solver)
+    diag = solver_diagnostics(plan, spec.solver)
     doc = {
-        "algorithm": cfg.algorithm,
-        "tau_ot": cfg.tau_ot,
-        "iterations_used": plan.iterations_used,
-        "final_row_violation": plan.final_row_violation,
-        "final_col_violation": plan.final_col_violation,
-        "converged": plan.converged(cfg.tolerance),
-        "class_names": names,
+        "algorithm": diag.pop("algorithm"),
+        "tau_ot": spec.solver.tau_ot,
+        **diag,
+        "class_names": inputs.kb.names,
         "pseudo_labels": guide.p.tolist(),
     }
-    Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    pio.write_report(doc, args.out)
     print(
-        f"{cfg.algorithm}: {plan.iterations_used} iterations, violations "
+        f"{spec.solver.algorithm}: {plan.iterations_used} iterations, violations "
         f"({plan.final_row_violation:.3e}, {plan.final_col_violation:.3e}) -> {args.out}"
     )
     return 0
 
 
 def _cmd_learn(args) -> int:
-    images = pio.read_embeddings(args.images)
-    kb = pio.read_knowledge_base(args.kb)
-    images = l2_normalize_rows(images)
-    k = args.k if args.k is not None else 3
-    proxies = build_text_proxies(kb, retrieve(images, kb, k))
-    plan = solve(images @ proxies.w.T, _solver_config(args), _marginal_for(args, kb))
-    guide = pseudo_labels(plan)
-    weights, trace = learn(images, guide, proxies, _learn_config(args))
+    spec = _run_spec(args)
+    _, weights, trace = learn_stage(load(spec), spec)
     pio.write_embeddings(weights.w, args.out)
     print(
         f"learned {weights.w.shape[0]} proxies in {trace.epochs_run} epochs "
@@ -224,34 +162,15 @@ def _cmd_learn(args) -> int:
     return 0
 
 
-def _marginal_for(args, kb) -> ClassMarginal:
-    if getattr(args, "marginal", None):
-        q = pio.read_marginal(args.marginal)
-        if len(q) != kb.n_classes:
-            raise DataError(
-                f"{args.marginal}: marginal has {len(q)} entries but "
-                f"{args.kb} has {kb.n_classes} classes"
-            )
-        return q
-    return ClassMarginal.uniform(kb.n_classes)
-
-
 def _cmd_bench_ot(args) -> int:
-    similarity, q, _ = _similarity_instance(args)
-    base = _solver_config(args)
-    algorithms = [args.algorithm] if args.algorithm else list(ALGORITHMS)
-    configs = [
-        SolverConfig(
-            tau_ot=base.tau_ot,
-            max_iterations=base.max_iterations,
-            tolerance=base.tolerance,
-            algorithm=name,
-        )
-        for name in algorithms
-    ]
-    rows = bench_solvers(similarity, q, configs)
+    spec = _run_spec(args)
+    inputs = load(spec)
+    _, proxies = text_stage(inputs, spec.k)
+    algorithms = [args.algorithm] if args.algorithm else ALGORITHMS
+    configs = [replace(spec.solver, algorithm=name) for name in algorithms]
+    rows = bench_solvers(inputs.images @ proxies.w.T, inputs.marginal, configs)
     if args.out:
-        Path(args.out).write_text(json.dumps(rows, indent=2) + "\n", encoding="utf-8")
+        pio.write_report(rows, args.out)
     for row in rows:
         if row["status"] == "numeric_overflow":
             print(f"{row['algorithm']}: {row['error']}", file=sys.stderr)
@@ -297,63 +216,47 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
 
-    p = sub.add_parser("pipeline", help="run one mode end to end and write a report")
-    p.add_argument("--mode", required=True, choices=MODES)
-    _add_io_flags(p)
-    _add_retrieval_flags(p)
-    _add_solver_flags(p)
-    _add_learn_flags(p)
-    p.add_argument("--seed", type=int, help="recorded in the report; the run is deterministic")
-    p.add_argument("--out", required=True, help="report JSON path (predictions CSV lands beside it)")
-    p.set_defaults(handler=_cmd_pipeline)
-
-    p = sub.add_parser("eval", help="pipeline with gold labels required")
-    p.add_argument("--mode", required=True, choices=MODES)
-    _add_io_flags(p, labels="required")
-    _add_retrieval_flags(p)
-    _add_solver_flags(p)
-    _add_learn_flags(p)
-    p.add_argument("--seed", type=int, help="recorded in the report")
-    p.add_argument("--out", required=True, help="report JSON path")
-    p.set_defaults(handler=_cmd_eval)
-
-    p = sub.add_parser("classify", help="write predictions CSV only")
-    p.add_argument("--mode", required=True, choices=MODES)
-    _add_io_flags(p, labels="none")
-    _add_retrieval_flags(p)
-    _add_solver_flags(p)
-    _add_learn_flags(p)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=True, help="predictions CSV path")
-    p.set_defaults(handler=_cmd_classify)
+    for name, help_text, labels, out_help, handler in (
+        ("pipeline", "run one mode end to end and write a report", "optional",
+         "report JSON path (predictions CSV lands beside it)", _cmd_pipeline),
+        ("eval", "pipeline with gold labels required", "required",
+         "report JSON path (predictions CSV lands beside it)", _cmd_pipeline),
+        ("classify", "write predictions CSV only", "none",
+         "predictions CSV path", _cmd_classify),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--mode", required=True, choices=MODES)
+        _add_io_flags(p, labels=labels)
+        _add_chain_flags(p)
+        p.add_argument(
+            "--seed", type=int, help="recorded in the report; the run is deterministic"
+        )
+        p.add_argument("--out", required=True, help=out_help)
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("retrieve", help="score and select top-k descriptions per class")
     _add_io_flags(p, labels="none")
-    _add_retrieval_flags(p)
+    _add_chain_flags(p, stages=1)
     p.add_argument("--out", required=True, help="retrieval JSON path")
-    p.set_defaults(handler=_cmd_retrieve)
+    p.set_defaults(handler=_cmd_retrieve, mode="kpl_full")
 
     p = sub.add_parser("plan", help="solve the transport problem and dump pseudo-labels")
     _add_io_flags(p, labels="none")
-    _add_retrieval_flags(p)
-    _add_solver_flags(p)
+    _add_chain_flags(p, stages=2)
     p.add_argument("--out", required=True, help="plan JSON path")
-    p.set_defaults(handler=_cmd_plan)
+    p.set_defaults(handler=_cmd_plan, mode="kpl_full")
 
     p = sub.add_parser("learn", help="learn multimodal proxies and write them as EMB1")
     _add_io_flags(p, labels="none")
-    _add_retrieval_flags(p)
-    _add_solver_flags(p)
-    _add_learn_flags(p)
+    _add_chain_flags(p)
     p.add_argument("--out", required=True, help="EMB1 path for the learned proxies")
-    p.set_defaults(handler=_cmd_learn)
+    p.set_defaults(handler=_cmd_learn, mode="kpl_full")
 
     p = sub.add_parser("bench-ot", help="race the transport solvers on one instance")
     _add_io_flags(p, labels="none")
-    _add_retrieval_flags(p)
-    _add_solver_flags(p)
+    _add_chain_flags(p, stages=2)
     p.add_argument("--out", help="optional JSON path for the comparison table")
-    p.set_defaults(handler=_cmd_bench_ot)
+    p.set_defaults(handler=_cmd_bench_ot, mode="kpl_full")
 
     p = sub.add_parser("gen-fixture", help="generate a synthetic modality-gap fixture")
     p.add_argument("--seed", type=int, required=True, help="64-bit generation seed")
@@ -370,7 +273,7 @@ def build_parser() -> _Parser:
         "--name-noise",
         type=float,
         default=None,
-        help="name embedding noise (default: 8 x description noise)",
+        help=f"name embedding noise (default: {NAME_NOISE_FACTOR:g} x description noise)",
     )
     p.set_defaults(handler=_cmd_gen_fixture)
 

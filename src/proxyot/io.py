@@ -60,6 +60,33 @@ def write_embeddings(matrix, path, dtype: str = "binary64") -> None:
         fh.write(struct.pack("<I", zlib.crc32(payload)))
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not valid UTF-8: {exc}") from exc
+
+
+def _read_json(path):
+    try:
+        return json.loads(_read_text(path))
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise DataError(f"{path}: not valid JSON: {exc}") from exc
+
+
+def _numeric_array(value, what: str, ndim: int) -> np.ndarray:
+    """A JSON nested list of numbers as a float64 array of ``ndim`` dimensions."""
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:  # ragged nesting
+        raise DataError(f"{what} must be a rectangular array of numbers: {exc}") from exc
+    if arr.dtype.kind not in "iuf":
+        raise DataError(f"{what} must hold only numbers")
+    if arr.ndim != ndim:
+        raise DataError(f"{what} must be {ndim}-D, got {arr.ndim}-D")
+    return arr.astype(np.float64, copy=False)
+
+
 def read_embeddings(path) -> np.ndarray:
     """Read an EMB1 file into a float64 matrix, verifying the payload CRC."""
     blob = Path(path).read_bytes()
@@ -92,7 +119,10 @@ def read_embeddings(path) -> np.ndarray:
             f"stored 0x{stored_crc:08x}, computed 0x{actual_crc:08x}"
         )
     values = np.frombuffer(payload, dtype=_DTYPES[code]).astype(np.float64)
-    return values.reshape(rows, cols)
+    try:
+        return values.reshape(rows, cols)
+    except ValueError as exc:  # a zero-size shape too large for numpy, e.g. 0 x 2**62
+        raise DataError(f"{path}: cannot shape {rows}x{cols}: {exc}") from exc
 
 
 def read_knowledge_base(
@@ -104,14 +134,11 @@ def read_knowledge_base(
     name to an EMB1 file carrying them. An optional per-class
     ``name_embedding`` row makes the class usable as a name-proxy baseline.
     """
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: not valid JSON: {exc}") from exc
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise DataError(f"{path}: top level must be an object")
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise DataError(f"{path}: 'dim' must be a positive integer, got {dim!r}")
     classes_raw = doc.get("classes")
     if not isinstance(classes_raw, list) or not classes_raw:
@@ -133,9 +160,9 @@ def read_knowledge_base(
                 f"{path}: class {name!r} needs a nonempty list of description strings"
             )
         if "embeddings" in entry:
-            emb = np.asarray(entry["embeddings"], dtype=np.float64)
-            if emb.ndim != 2:
-                raise DataError(f"{path}: class {name!r} embeddings must be 2-D")
+            emb = _numeric_array(
+                entry["embeddings"], f"{path}: class {name!r} embeddings", ndim=2
+            )
         elif sidecars is not None and name in sidecars:
             emb = read_embeddings(sidecars[name])
         else:
@@ -144,7 +171,9 @@ def read_knowledge_base(
             )
         name_emb = entry.get("name_embedding")
         if name_emb is not None:
-            name_emb = np.asarray(name_emb, dtype=np.float64)
+            name_emb = _numeric_array(
+                name_emb, f"{path}: class {name!r} name_embedding", ndim=1
+            )
         records.append(
             ClassRecord(
                 name=name,
@@ -158,7 +187,7 @@ def read_knowledge_base(
 
 def read_labels(path, kb: KnowledgeBase) -> np.ndarray:
     """Read one label per line: a class index or a class name from the base."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     name_to_index = {name: j for j, name in enumerate(kb.names)}
     labels = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -186,15 +215,18 @@ def read_labels(path, kb: KnowledgeBase) -> np.ndarray:
 
 def read_marginal(path) -> ClassMarginal:
     """Read a JSON array of nonnegative class weights and renormalize exactly."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, list) or not all(
-        isinstance(x, (int, float)) for x in doc
+    doc = _read_json(path)
+    if (
+        not isinstance(doc, list)
+        or not doc
+        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in doc)
     ):
-        raise DataError(f"{path}: marginal must be a JSON array of numbers")
-    return ClassMarginal.from_weights(np.asarray(doc, dtype=np.float64))
+        raise DataError(f"{path}: marginal must be a nonempty JSON array of numbers")
+    try:
+        weights = np.asarray(doc, dtype=np.float64)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise DataError(f"{path}: marginal weight out of range: {exc}") from exc
+    return ClassMarginal.from_weights(weights)
 
 
 def write_report(report, path) -> None:

@@ -1,8 +1,9 @@
 """End-to-end runs: baselines, retrieval-only classification, and the full chain.
 
-``run`` executes one mode over file inputs and returns a reproducible
-report; ``bench_solvers`` races the transport solvers over one instance.
-The four modes:
+``load`` is the only path from input files to validated arrays. ``run``
+composes the stage functions over its result into one mode and returns a
+reproducible report; the CLI's stage subcommands call the same functions.
+``bench_solvers`` races the transport solvers over one instance. The modes:
 
 * ``clip_baseline``       -- classify with class-name embeddings as proxies.
 * ``description_baseline``-- classify with all-description mean proxies.
@@ -14,16 +15,18 @@ The four modes:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import io as pio
 from .errors import DataError, NumericError, UsageError
-from .learner import LearnConfig, ProxyWeights, classify, learn
+from .learner import LearnConfig, LearnTrace, ProxyWeights, classify, learn
 from .numerics import l2_normalize_rows
 from .retrieval import (
+    KnowledgeBase,
+    RetrievalResult,
     TextProxies,
     build_text_proxies,
     description_proxies,
@@ -32,13 +35,18 @@ from .retrieval import (
 )
 from .solvers import (
     ClassMarginal,
+    PseudoLabels,
     SolverConfig,
+    TransportPlan,
     entropic_objective,
     pseudo_labels,
     solve,
 )
 
-__all__ = ["MODES", "RunSpec", "RunReport", "run", "accuracy", "bench_solvers"]
+__all__ = [
+    "MODES", "RunSpec", "RunReport", "Inputs", "load", "text_stage", "transport_stage",
+    "learn_stage", "solver_diagnostics", "run", "accuracy", "bench_solvers",
+]
 
 MODES = ("clip_baseline", "description_baseline", "kpl_text", "kpl_full")
 
@@ -55,7 +63,6 @@ class RunSpec:
     k: int = 3
     solver: SolverConfig = field(default_factory=SolverConfig)
     learn: LearnConfig = field(default_factory=LearnConfig)
-    normalize_images: bool = True
     seed: int | None = None  # recorded for provenance; the pipeline is deterministic
 
     def __post_init__(self):
@@ -115,7 +122,7 @@ def _resolved_config(spec: RunSpec) -> dict:
         "labels": None if spec.labels is None else str(spec.labels),
         "marginal": "uniform" if spec.marginal is None else str(spec.marginal),
         "k": spec.k,
-        "normalize_images": spec.normalize_images,
+        "normalize_images": True,
         "seed": spec.seed,
         "solver": {
             "algorithm": spec.solver.algorithm,
@@ -123,22 +130,26 @@ def _resolved_config(spec: RunSpec) -> dict:
             "max_iterations": spec.solver.max_iterations,
             "tolerance": spec.solver.tolerance,
         },
-        "learn": {
-            "tau_learn": spec.learn.tau_learn,
-            "learning_rate": spec.learn.learning_rate,
-            "momentum": spec.learn.momentum,
-            "max_epochs": spec.learn.max_epochs,
-            "loss_tolerance": spec.learn.loss_tolerance,
-        },
+        "learn": asdict(spec.learn),
     }
 
 
-def _text_stage(images: np.ndarray, kb, spec: RunSpec) -> TextProxies:
-    return build_text_proxies(kb, retrieve(images, kb, spec.k))
+@dataclass(frozen=True)
+class Inputs:
+    """The validated inputs of one run, as ``load`` returns them."""
+
+    images: np.ndarray  # unit rows whose dim matches the knowledge base
+    kb: KnowledgeBase
+    marginal: ClassMarginal
+    gold: np.ndarray | None = None  # one class index per image row
 
 
-def run(spec: RunSpec) -> RunReport:
-    """Execute one mode end to end over the files named in ``spec``."""
+def load(spec: RunSpec) -> Inputs:
+    """Read and validate every input file ``spec`` names.
+
+    Images must match the knowledge base's dim and come back with unit rows;
+    a marginal file needs one entry per class, a labels file one per image.
+    """
     images = pio.read_embeddings(spec.images)
     kb = pio.read_knowledge_base(spec.kb)
     if images.shape[1] != kb.dim:
@@ -146,7 +157,8 @@ def run(spec: RunSpec) -> RunReport:
             f"{spec.images}: image rows have dim {images.shape[1]} but "
             f"{spec.kb} declares dim {kb.dim}"
         )
-    if spec.normalize_images and images.shape[0] > 0:
+    if images.shape[0] > 0:
+        # rebinding frees the raw rows: never hold two copies of the images
         images = l2_normalize_rows(images)
     if spec.marginal is None:
         q = ClassMarginal.uniform(kb.n_classes)
@@ -157,7 +169,55 @@ def run(spec: RunSpec) -> RunReport:
                 f"{spec.marginal}: marginal has {len(q)} entries but "
                 f"{spec.kb} has {kb.n_classes} classes"
             )
+    gold = None
+    if spec.labels is not None:
+        gold = pio.read_labels(spec.labels, kb)
+        if gold.size != images.shape[0]:
+            raise DataError(
+                f"{spec.labels}: {gold.size} labels but {images.shape[0]} images"
+            )
+    return Inputs(images=images, kb=kb, marginal=q, gold=gold)
 
+
+def text_stage(inputs: Inputs, k: int) -> tuple[RetrievalResult, TextProxies]:
+    """Text Proxy Optimization: retrieve top-k descriptions, average them into proxies."""
+    selection = retrieve(inputs.images, inputs.kb, k)
+    return selection, build_text_proxies(inputs.kb, selection)
+
+
+def transport_stage(
+    inputs: Inputs, proxies: TextProxies, cfg: SolverConfig
+) -> tuple[TransportPlan, PseudoLabels]:
+    """Solve transport over the image/proxy similarities and read pseudo-labels off it."""
+    plan = solve(inputs.images @ proxies.w.T, cfg, inputs.marginal)
+    return plan, pseudo_labels(plan)
+
+
+def learn_stage(
+    inputs: Inputs, spec: RunSpec
+) -> tuple[TransportPlan, ProxyWeights, LearnTrace]:
+    """Multimodal Proxy Learning: the whole ``kpl_full`` chain up to learned proxies."""
+    _, proxies = text_stage(inputs, spec.k)
+    plan, guide = transport_stage(inputs, proxies, spec.solver)
+    weights, trace = learn(inputs.images, guide, proxies, spec.learn)
+    return plan, weights, trace
+
+
+def solver_diagnostics(plan: TransportPlan, cfg: SolverConfig) -> dict:
+    """How the solve went, in the report's fixed key order."""
+    return {
+        "algorithm": cfg.algorithm,
+        "iterations_used": plan.iterations_used,
+        "final_row_violation": plan.final_row_violation,
+        "final_col_violation": plan.final_col_violation,
+        "converged": plan.converged(cfg.tolerance),
+    }
+
+
+def run(spec: RunSpec) -> RunReport:
+    """Execute one mode end to end over the files named in ``spec``."""
+    inputs = load(spec)
+    kb = inputs.kb
     solver_diag = None
     learn_summary = None
     if spec.mode == "clip_baseline":
@@ -167,21 +227,11 @@ def run(spec: RunSpec) -> RunReport:
         proxies = description_proxies(kb)
         weights = ProxyWeights(proxies.w)
     elif spec.mode == "kpl_text":
-        proxies = _text_stage(images, kb, spec)
+        _, proxies = text_stage(inputs, spec.k)
         weights = ProxyWeights(proxies.w)
     else:  # kpl_full
-        proxies = _text_stage(images, kb, spec)
-        similarity = images @ proxies.w.T
-        plan = solve(similarity, spec.solver, q)
-        solver_diag = {
-            "algorithm": spec.solver.algorithm,
-            "iterations_used": plan.iterations_used,
-            "final_row_violation": plan.final_row_violation,
-            "final_col_violation": plan.final_col_violation,
-            "converged": plan.converged(spec.solver.tolerance),
-        }
-        guide = pseudo_labels(plan)
-        weights, trace = learn(images, guide, proxies, spec.learn)
+        plan, weights, trace = learn_stage(inputs, spec)
+        solver_diag = solver_diagnostics(plan, spec.solver)
         learn_summary = {
             "epochs_run": trace.epochs_run,
             "stop_reason": trace.stop_reason,
@@ -189,23 +239,18 @@ def run(spec: RunSpec) -> RunReport:
             "final_loss": trace.losses[-1],
         }
 
-    predictions = classify(images, weights)
+    predictions = classify(inputs.images, weights)
     report = RunReport(
         mode=spec.mode,
         config=_resolved_config(spec),
-        n_images=images.shape[0],
+        n_images=inputs.images.shape[0],
         class_names=kb.names,
         predictions=predictions,
         solver_diagnostics=solver_diag,
         learn_summary=learn_summary,
     )
-    if spec.labels is not None:
-        gold = pio.read_labels(spec.labels, kb)
-        if gold.size != predictions.size:
-            raise DataError(
-                f"{spec.labels}: {gold.size} labels but {predictions.size} images"
-            )
-        overall, per_class = accuracy(predictions, gold)
+    if inputs.gold is not None:
+        overall, per_class = accuracy(predictions, inputs.gold)
         report.accuracy = overall
         report.per_class_accuracy = {
             kb.names[c]: frac for c, frac in per_class.items()

@@ -85,6 +85,65 @@ class TestExitCodes:
         assert code == 2
         assert "CRC" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["pipeline", "--mode", "kpl_text"],
+            ["eval", "--mode", "kpl_full", "--labels", "LABELS"],
+            ["classify", "--mode", "clip_baseline"],
+            ["retrieve"],
+            ["plan"],
+            ["learn"],
+            ["bench-ot"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_dim_mismatch_is_data_error(self, cli_fixture, tmp_path, capsys, command):
+        images = tmp_path / "narrow.emb"
+        rows = np.random.default_rng(0).standard_normal((5, 7))
+        pio.write_embeddings(rows / np.linalg.norm(rows, axis=1, keepdims=True), images)
+        args = [str(cli_fixture / "labels.txt") if a == "LABELS" else a for a in command]
+        code = main(
+            [*args, "--images", str(images), "--kb", str(cli_fixture / "kb.json"),
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:")
+        assert "dim 7" in err[0] and "dim 8" in err[0]
+
+    @pytest.mark.parametrize(
+        "flag, content",
+        [
+            ("--kb", b'{"dim": 8, "classes": [{"name": "a", "descriptions": ["x"], '
+                     b'"embeddings": [[1, 0], [0]]}]}'),
+            ("--kb", b'{"dim": 8, "classes": [{"name": "a", "descriptions": ["x"], '
+                     b'"embeddings": [[1, 0, 0, 0, 0, 0, 0, 0]], "name_embedding": [[1]]}]}'),
+            ("--kb", b"\xff{}"),
+            ("--marginal", b"[true, 1, 1]"),
+            ("--marginal", b"[]"),
+            ("--marginal", b"\xff[]"),
+            ("--labels", b"\xff0\n"),
+        ],
+        ids=["ragged-embeddings", "2d-name-embedding", "kb-not-utf8", "bool-weight",
+             "empty-marginal", "marginal-not-utf8", "labels-not-utf8"],
+    )
+    def test_malformed_file_is_one_data_error_line(
+        self, cli_fixture, tmp_path, capsys, flag, content
+    ):
+        bad = tmp_path / "bad"
+        bad.write_bytes(content)
+        files = {"--kb": cli_fixture / "kb.json", "--labels": cli_fixture / "labels.txt"}
+        files[flag] = bad
+        code = main(
+            ["pipeline", "--mode", "kpl_full", "--images", str(cli_fixture / "images.emb"),
+             *(arg for f, path in files.items() for arg in (f, str(path))),
+             "--out", str(tmp_path / "r.json")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:")
+
     def test_linear_overflow_is_numeric_error(self, cli_fixture, capsys):
         code = main(
             ["bench-ot", "--images", str(cli_fixture / "images.emb"),

@@ -182,6 +182,31 @@ class TestKnowledgeBaseFile:
         with pytest.raises(DataError, match="JSON"):
             pio.read_knowledge_base(path)
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("embeddings", [[1.0, 0.0, 0.0], [0.0, 1.0]], "rectangular"),
+            ("embeddings", [["1", "0", "0"], [0.0, 1.0, 0.0]], "only numbers"),
+            ("name_embedding", ["x", "y", "z"], "only numbers"),
+            ("name_embedding", [[1.0, 0.0, 0.0]], "1-D"),
+        ],
+    )
+    def test_malformed_arrays_name_the_class(self, tmp_path, field, value, match):
+        doc = _kb_doc()
+        doc["classes"][0][field] = value
+        path = tmp_path / "kb.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=f"class 'alpha' {field} .*{match}"):
+            pio.read_knowledge_base(path)
+
+    def test_boolean_dim_rejected(self, tmp_path):
+        doc = _kb_doc()
+        doc["dim"] = True
+        path = tmp_path / "kb.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="'dim'"):
+            pio.read_knowledge_base(path)
+
     def test_name_embedding_is_parsed(self, tmp_path):
         doc = _kb_doc()
         doc["classes"][0]["name_embedding"] = [1.0, 0.0, 0.0]
@@ -248,6 +273,50 @@ class TestMarginal:
         path.write_text('["a", "b"]')
         with pytest.raises(DataError):
             pio.read_marginal(path)
+
+
+    def test_boolean_weight_rejected(self, tmp_path):
+        path = tmp_path / "q.json"
+        path.write_text("[true, 1, 1, 1, 1]")
+        with pytest.raises(DataError, match="array of numbers"):
+            pio.read_marginal(path)
+
+    def test_empty_array_rejected(self, tmp_path):
+        path = tmp_path / "q.json"
+        path.write_text("[]")
+        with pytest.raises(DataError, match="nonempty"):
+            pio.read_marginal(path)
+
+    def test_integer_beyond_float_range_rejected(self, tmp_path):
+        path = tmp_path / "q.json"
+        path.write_text(f"[1, {10 ** 400}]")
+        with pytest.raises(DataError, match="out of range"):
+            pio.read_marginal(path)
+
+
+@pytest.mark.parametrize("reader", ["kb", "labels", "marginal"])
+def test_text_that_is_not_utf8_is_data_error(tmp_path, reader):
+    kb_path = tmp_path / "kb.json"
+    kb_path.write_text(json.dumps(_kb_doc()))
+    read = {
+        "kb": pio.read_knowledge_base,
+        "labels": lambda p: pio.read_labels(p, pio.read_knowledge_base(kb_path)),
+        "marginal": pio.read_marginal,
+    }[reader]
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe0\n1\n")
+    with pytest.raises(DataError, match="UTF-8"):
+        read(bad)
+
+
+def test_empty_payload_with_absurd_shape_is_data_error(tmp_path):
+    path = tmp_path / "wide.emb"
+    pio.write_embeddings(np.zeros((0, 1)), path)
+    blob = bytearray(path.read_bytes())
+    blob[15:23] = (2**62).to_bytes(8, "little")  # cols
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DataError, match="cannot shape"):
+        pio.read_embeddings(path)
 
 
 class TestReportWriting:

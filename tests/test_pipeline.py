@@ -6,7 +6,8 @@ import pytest
 from proxyot.errors import DataError, UsageError
 from proxyot.fixture import FixtureSpec, generate_fixture, write_fixture
 from proxyot.learner import LearnConfig
-from proxyot.pipeline import RunSpec, accuracy, bench_solvers, run
+from proxyot import pipeline
+from proxyot.pipeline import RunSpec, accuracy, bench_solvers, load, run
 from proxyot.solvers import ClassMarginal, SolverConfig
 
 FAST_SOLVER = SolverConfig(tau_ot=0.05, max_iterations=20_000, tolerance=1e-6)
@@ -154,6 +155,28 @@ class TestRunErrors:
         short.write_text("0\n1\n")
         with pytest.raises(DataError, match="2 labels"):
             run(_spec(small_fixture, "kpl_text", labels=short))
+
+    def test_bad_labels_fail_before_the_solve(self, small_fixture, tmp_path, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("solve ran before the labels were checked")
+
+        monkeypatch.setattr(pipeline, "solve", no_solve)
+        short = tmp_path / "short.txt"
+        short.write_text("0\n1\n")
+        with pytest.raises(DataError, match="2 labels"):
+            run(_spec(small_fixture, "kpl_full", labels=short))
+
+
+class TestLoad:
+    def test_inputs_are_validated_and_normalized(self, small_fixture):
+        inputs = load(_spec(small_fixture, "kpl_full"))
+        assert inputs.images.shape == (40, 8)
+        np.testing.assert_allclose(np.linalg.norm(inputs.images, axis=1), 1.0, atol=1e-12)
+        np.testing.assert_array_equal(inputs.marginal.q, np.full(3, 1 / 3))
+        assert inputs.gold.shape == (40,)
+
+    def test_labels_are_optional(self, small_fixture):
+        assert load(_spec(small_fixture, "kpl_text", labels=None)).gold is None
 
 
 class TestRelabelingEquivariance:
