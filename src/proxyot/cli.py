@@ -17,7 +17,7 @@ from . import io as pio
 from .errors import DataError, NumericError, ProxyOTError, UsageError
 from .fixture import NAME_NOISE_FACTOR, FixtureSpec, generate_fixture, write_fixture
 from .learner import LearnConfig
-from .pipeline import MODES, RunSpec, bench_solvers, learn_stage, load, run
+from .pipeline import MODES, RunSpec, bench_solvers, learn_stage, learn_summary, load, run
 from .pipeline import solver_diagnostics, text_stage, transport_stage
 from .solvers import ALGORITHMS, SolverConfig
 
@@ -83,8 +83,33 @@ def _predictions_csv_path(out: Path) -> Path:
     return out.with_suffix(".csv") if out.suffix else out.with_name(out.name + ".csv")
 
 
+def _warn_at_caps(tolerance: float, diag: dict | None, learned: dict | None) -> None:
+    """One stderr line for each stage that stopped at its cap instead of converging."""
+    if diag is not None and not diag["converged"]:
+        print(
+            f"warning: {diag['algorithm']} did not converge in "
+            f"{diag['iterations_used']} iterations: violations "
+            f"({diag['final_row_violation']:.3e}, {diag['final_col_violation']:.3e}), "
+            f"tolerance {tolerance:g}",
+            file=sys.stderr,
+        )
+    if learned is not None and learned["stop_reason"] == "max_epochs":
+        print(
+            f"warning: learning stopped at its cap of {learned['epochs_run']} epochs",
+            file=sys.stderr,
+        )
+
+
+def _run(args):
+    """``run`` for the pipeline subcommands, warning on stderr about capped stages."""
+    spec = _run_spec(args)
+    report = run(spec)
+    _warn_at_caps(spec.solver.tolerance, report.solver_diagnostics, report.learn_summary)
+    return report
+
+
 def _cmd_pipeline(args) -> int:
-    report = run(_run_spec(args))
+    report = _run(args)
     out = Path(args.out)
     pio.write_report(report, out)
     pio.write_predictions_csv(
@@ -98,7 +123,7 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    report = run(_run_spec(args))
+    report = _run(args)
     pio.write_predictions_csv(Path(args.out), report.predictions, report.class_names)
     print(f"{args.mode}: {report.n_images} predictions -> {args.out}")
     return 0
@@ -136,6 +161,7 @@ def _cmd_plan(args) -> int:
     _, proxies = text_stage(inputs, spec.k)
     plan, guide = transport_stage(inputs, proxies, spec.solver)
     diag = solver_diagnostics(plan, spec.solver)
+    _warn_at_caps(spec.solver.tolerance, diag, None)
     doc = {
         "algorithm": diag.pop("algorithm"),
         "tau_ot": spec.solver.tau_ot,
@@ -153,7 +179,10 @@ def _cmd_plan(args) -> int:
 
 def _cmd_learn(args) -> int:
     spec = _run_spec(args)
-    _, weights, trace = learn_stage(load(spec), spec)
+    plan, weights, trace = learn_stage(load(spec), spec)
+    _warn_at_caps(
+        spec.solver.tolerance, solver_diagnostics(plan, spec.solver), learn_summary(trace)
+    )
     pio.write_embeddings(weights.w, args.out)
     print(
         f"learned {weights.w.shape[0]} proxies in {trace.epochs_run} epochs "

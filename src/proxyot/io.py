@@ -16,6 +16,7 @@ rows are never auto-normalized here.
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
 import zlib
@@ -84,6 +85,10 @@ def _numeric_array(value, what: str, ndim: int) -> np.ndarray:
         raise DataError(f"{what} must hold only numbers")
     if arr.ndim != ndim:
         raise DataError(f"{what} must be {ndim}-D, got {arr.ndim}-D")
+    # numpy coerces booleans mixed with numbers; JSON true is not a number
+    entries = value if ndim == 1 else itertools.chain.from_iterable(value)
+    if bool in set(map(type, entries)):
+        raise DataError(f"{what} must hold only numbers, not booleans")
     return arr.astype(np.float64, copy=False)
 
 
@@ -186,7 +191,11 @@ def read_knowledge_base(
 
 
 def read_labels(path, kb: KnowledgeBase) -> np.ndarray:
-    """Read one label per line: a class index or a class name from the base."""
+    """Read one label per line: a class index or a class name from the base.
+
+    Only a token of ASCII digits is an index; any other token (``+1``,
+    ``1_0``, non-ASCII digits) must be a class name.
+    """
     text = _read_text(path)
     name_to_index = {name: j for j, name in enumerate(kb.names)}
     labels = []
@@ -194,18 +203,19 @@ def read_labels(path, kb: KnowledgeBase) -> np.ndarray:
         token = line.strip()
         if not token:
             raise DataError(f"{path}:{lineno}: empty label line")
-        try:
-            idx = int(token)
-        except ValueError:
-            idx = name_to_index.get(token, -1)
-            if idx < 0:
+        if token.isascii() and token.isdigit():
+            digits = token.lstrip("0") or "0"
+            # lengths first: int() refuses strings of more than 4300 digits
+            if len(digits) > len(str(kb.n_classes)) or int(digits) >= kb.n_classes:
                 raise DataError(
-                    f"{path}:{lineno}: label {token!r} is not a class name "
-                    "in the knowledge base"
-                ) from None
-        if not 0 <= idx < kb.n_classes:
+                    f"{path}:{lineno}: label index {token} out of range [0, {kb.n_classes})"
+                )
+            idx = int(digits)
+        elif token in name_to_index:
+            idx = name_to_index[token]
+        else:
             raise DataError(
-                f"{path}:{lineno}: label index {idx} out of range [0, {kb.n_classes})"
+                f"{path}:{lineno}: label {token!r} is not a class name in the knowledge base"
             )
         labels.append(idx)
     if not labels:

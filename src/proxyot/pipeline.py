@@ -45,7 +45,7 @@ from .solvers import (
 
 __all__ = [
     "MODES", "RunSpec", "RunReport", "Inputs", "load", "text_stage", "transport_stage",
-    "learn_stage", "solver_diagnostics", "run", "accuracy", "bench_solvers",
+    "learn_stage", "solver_diagnostics", "learn_summary", "run", "accuracy", "bench_solvers",
 ]
 
 MODES = ("clip_baseline", "description_baseline", "kpl_text", "kpl_full")
@@ -147,19 +147,21 @@ class Inputs:
 def load(spec: RunSpec) -> Inputs:
     """Read and validate every input file ``spec`` names.
 
-    Images must match the knowledge base's dim and come back with unit rows;
+    Images need at least one row, must match the knowledge base's dim and
+    come back with unit rows;
     a marginal file needs one entry per class, a labels file one per image.
     """
     images = pio.read_embeddings(spec.images)
+    if images.shape[0] == 0:
+        raise DataError(f"{spec.images}: no image rows to classify")
     kb = pio.read_knowledge_base(spec.kb)
     if images.shape[1] != kb.dim:
         raise DataError(
             f"{spec.images}: image rows have dim {images.shape[1]} but "
             f"{spec.kb} declares dim {kb.dim}"
         )
-    if images.shape[0] > 0:
-        # rebinding frees the raw rows: never hold two copies of the images
-        images = l2_normalize_rows(images)
+    # rebinding frees the raw rows: never hold two copies of the images
+    images = l2_normalize_rows(images)
     if spec.marginal is None:
         q = ClassMarginal.uniform(kb.n_classes)
     else:
@@ -214,12 +216,22 @@ def solver_diagnostics(plan: TransportPlan, cfg: SolverConfig) -> dict:
     }
 
 
+def learn_summary(trace: LearnTrace) -> dict:
+    """How learning went, in the report's fixed key order."""
+    return {
+        "epochs_run": trace.epochs_run,
+        "stop_reason": trace.stop_reason,
+        "initial_loss": trace.losses[0],
+        "final_loss": trace.losses[-1],
+    }
+
+
 def run(spec: RunSpec) -> RunReport:
     """Execute one mode end to end over the files named in ``spec``."""
     inputs = load(spec)
     kb = inputs.kb
     solver_diag = None
-    learn_summary = None
+    learned = None
     if spec.mode == "clip_baseline":
         proxies = name_proxies(kb.name_embedding_matrix())
         weights = ProxyWeights(proxies.w)
@@ -232,12 +244,7 @@ def run(spec: RunSpec) -> RunReport:
     else:  # kpl_full
         plan, weights, trace = learn_stage(inputs, spec)
         solver_diag = solver_diagnostics(plan, spec.solver)
-        learn_summary = {
-            "epochs_run": trace.epochs_run,
-            "stop_reason": trace.stop_reason,
-            "initial_loss": trace.losses[0],
-            "final_loss": trace.losses[-1],
-        }
+        learned = learn_summary(trace)
 
     predictions = classify(inputs.images, weights)
     report = RunReport(
@@ -247,7 +254,7 @@ def run(spec: RunSpec) -> RunReport:
         class_names=kb.names,
         predictions=predictions,
         solver_diagnostics=solver_diag,
-        learn_summary=learn_summary,
+        learn_summary=learned,
     )
     if inputs.gold is not None:
         overall, per_class = accuracy(predictions, inputs.gold)

@@ -6,7 +6,8 @@ masses q. ``sinkhorn_linear`` scales P = exp(M/tau) directly and is the
 deliberately fragile baseline; ``sinkhorn_log`` performs the identical
 alternating normalization in log space; ``stable_greenkhorn`` greedily
 rescales only the single row or column with the worst absolute marginal
-violation, again entirely in log space, and is the default.
+violation, keeping those violations incrementally across updates, again
+entirely in log space, and is the default.
 
 Plans are stored in log domain (``log_p``); -inf encodes zero mass and is
 the only permitted non-finite value.
@@ -270,16 +271,24 @@ def sinkhorn_log(m, cfg: SolverConfig, q: ClassMarginal) -> TransportPlan:
     return _finish(log_p, row_target, q, iterations)
 
 
+def _line_sums(p: np.ndarray, row_target: float, qv: np.ndarray):
+    """Fresh row and column sums of ``p`` and their absolute violations."""
+    row_sums = p.sum(axis=1)
+    col_sums = p.sum(axis=0)
+    return row_sums, col_sums, np.abs(row_sums - row_target), np.abs(col_sums - qv)
+
+
 def stable_greenkhorn(m, cfg: SolverConfig, q: ClassMarginal) -> TransportPlan:
     """Greedy single-line rescaling in log space, one line update per iteration.
 
-    Starts from log P = m/tau. Each iteration measures the absolute marginal
-    violation of every row and column, then rescales only the worst line: the
-    argmax row if the worst row beats the worst column, otherwise the argmax
-    column (ties go to the column; index ties to the lowest index). The
-    rescale adds a constant to the line in log space, so the selected line
-    meets its target mass exactly and the plan keeps the diagonal-scaling
-    structure of the initialization.
+    Starts from log P = m/tau. The absolute marginal violation of every row
+    and column is kept incrementally: an update rewrites its own line's
+    violation and recomputes the crossed ones. Each iteration rescales only
+    the worst line: the argmax row if the worst row beats the worst column,
+    otherwise the argmax column (ties go to the column; index ties to the
+    lowest index). The rescale adds a constant to the line in log space, so
+    the selected line meets its target mass exactly and the plan keeps the
+    diagonal-scaling structure of the initialization.
     """
     mat, qv = _check_inputs(m, q)
     n, k = mat.shape
@@ -291,52 +300,65 @@ def stable_greenkhorn(m, cfg: SolverConfig, q: ClassMarginal) -> TransportPlan:
     log_p = mat / cfg.tau_ot
     # Zero-target columns admit exactly one feasible assignment: no mass.
     log_p[:, ~positive] = -np.inf
-    with np.errstate(over="ignore"):
-        p = np.exp(log_p)
-    # p stays exactly exp(log_p); +inf entries are legal until the first
-    # rescale of their line and the crossed sums are repaired on the fly.
-    row_sums = p.sum(axis=1)
-    col_sums = p.sum(axis=0)
+    tol = cfg.tolerance
     iterations = 0
-    while iterations < cfg.max_iterations:
-        rv = np.abs(row_sums - row_target)
-        cv = np.abs(col_sums - qv)
-        r = int(np.argmax(rv))
-        c = int(np.argmax(cv))
-        if rv[r] <= cfg.tolerance and cv[c] <= cfg.tolerance:
-            # Incremental sums drift; confirm against fresh ones before stopping.
-            row_sums = p.sum(axis=1)
-            col_sums = p.sum(axis=0)
-            if (
-                np.max(np.abs(row_sums - row_target)) <= cfg.tolerance
-                and np.max(np.abs(col_sums - qv)) <= cfg.tolerance
-            ):
-                break
-            continue
-        if rv[r] > cv[c]:
-            log_p[r, :] += ln_row_target - _lse(log_p[r, :], axis=0)
-            new_line = np.exp(log_p[r, :])
-            with np.errstate(invalid="ignore"):  # inf - inf while lines are still raw
-                col_sums += new_line - p[r, :]
-            p[r, :] = new_line
-            row_sums[r] = new_line.sum()
-            bad = np.isnan(col_sums)
-            if bad.any():
-                col_sums[bad] = p[:, bad].sum(axis=0)
-        else:
-            log_p[:, c] += ln_q[c] - _lse(log_p[:, c], axis=0)
-            new_line = np.exp(log_p[:, c])
-            with np.errstate(invalid="ignore"):
+    # exp overflow, log(0) and inf - inf are all expected below; one errstate
+    # per solve instead of one per update.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # p stays exactly exp(log_p); +inf entries are legal until the first
+        # rescale of their line and the crossed sums are repaired on the fly.
+        p = np.exp(log_p)
+        row_sums, col_sums, rv, cv = _line_sums(p, row_target, qv)
+        while iterations < cfg.max_iterations:
+            r = int(rv.argmax())
+            c = int(cv.argmax())
+            worst_row = rv[r]
+            worst_col = cv[c]
+            if worst_row <= tol and worst_col <= tol:
+                # Incremental sums drift; confirm against fresh ones before stopping.
+                row_sums, col_sums, rv, cv = _line_sums(p, row_target, qv)
+                if rv.max() <= tol and cv.max() <= tol:
+                    break
+                continue
+            # A row holding a +inf entry of p has a +inf sum, so the worst row is
+            # +inf while any is left. Rescaled lines are finite, so after that no
+            # crossed sum can meet inf - inf and the NaN repair is skipped.
+            raw = worst_row == np.inf
+            if worst_row > worst_col:
+                line = log_p[r]
+                lse = line.max()  # an all -inf or +inf line keeps its max, as in _lse
+                if math.isfinite(lse):
+                    lse += np.log(np.exp(line - lse).sum())
+                line += ln_row_target - lse
+                new_line = np.exp(line)
+                col_sums += new_line - p[r]
+                p[r] = new_line
+                row_sums[r] = new_line.sum()
+                rv[r] = abs(row_sums[r] - row_target)
+                if raw:
+                    bad = np.isnan(col_sums)
+                    if bad.any():
+                        col_sums[bad] = p[:, bad].sum(axis=0)
+                np.abs(np.subtract(col_sums, qv, out=cv), out=cv)
+            else:
+                line = log_p[:, c]
+                lse = line.max()
+                if math.isfinite(lse):
+                    lse += np.log(np.exp(line - lse).sum())
+                line += ln_q[c] - lse
+                new_line = np.exp(line)
                 row_sums += new_line - p[:, c]
-            p[:, c] = new_line
-            col_sums[c] = new_line.sum()
-            bad = np.isnan(row_sums)
-            if bad.any():
-                row_sums[bad] = p[bad, :].sum(axis=1)
-        iterations += 1
-        if iterations % _REFRESH_EVERY == 0:
-            row_sums = p.sum(axis=1)
-            col_sums = p.sum(axis=0)
+                p[:, c] = new_line
+                col_sums[c] = new_line.sum()
+                cv[c] = abs(col_sums[c] - qv[c])
+                if raw:
+                    bad = np.isnan(row_sums)
+                    if bad.any():
+                        row_sums[bad] = p[bad, :].sum(axis=1)
+                np.abs(np.subtract(row_sums, row_target, out=rv), out=rv)
+            iterations += 1
+            if iterations % _REFRESH_EVERY == 0:
+                row_sums, col_sums, rv, cv = _line_sums(p, row_target, qv)
     return _finish(log_p, row_target, q, iterations)
 
 

@@ -144,6 +144,22 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("data error:")
 
+    @pytest.mark.parametrize(
+        "mode", ["clip_baseline", "description_baseline", "kpl_text", "kpl_full"]
+    )
+    def test_image_file_without_rows_is_data_error(self, cli_fixture, tmp_path, capsys, mode):
+        images = tmp_path / "empty.emb"
+        pio.write_embeddings(np.zeros((0, 8)), images)
+        code = main(
+            ["pipeline", "--mode", mode, "--images", str(images),
+             "--kb", str(cli_fixture / "kb.json"), "--out", str(tmp_path / "r.json")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:")
+        assert str(images) in err[0]
+        assert not (tmp_path / "r.json").exists()
+
     def test_linear_overflow_is_numeric_error(self, cli_fixture, capsys):
         code = main(
             ["bench-ot", "--images", str(cli_fixture / "images.emb"),
@@ -297,3 +313,47 @@ class TestGenFixture:
         out = tmp_path / "clean.json"
         assert main(_pipeline_args(fx, out, mode="clip_baseline")) == 0
         assert json.loads(out.read_text())["accuracy"] == 1.0
+
+
+class TestCapWarnings:
+    """A stage that stops at its cap says so on stderr; stdout and files do not change."""
+
+    def _args(self, fx, tmp_path, command, extra):
+        mode = ["--mode", "kpl_full"] if command in ("pipeline", "eval", "classify") else []
+        labels = ["--labels", str(fx / "labels.txt")] if command == "eval" else []
+        return [command, *mode, "--images", str(fx / "images.emb"),
+                "--kb", str(fx / "kb.json"), *labels,
+                "--out", str(tmp_path / "out"), *extra]
+
+    @pytest.mark.parametrize(
+        "command, solver_line, learner_line",
+        [
+            ("pipeline", True, True),
+            ("eval", True, True),
+            ("classify", True, True),
+            ("plan", True, False),
+            ("learn", True, True),
+        ],
+    )
+    def test_capped_stages_warn_once_each(
+        self, cli_fixture, tmp_path, capsys, command, solver_line, learner_line
+    ):
+        extra = ["--max-iterations", "1"] + (["--epochs", "1"] if command != "plan" else [])
+        assert main(self._args(cli_fixture, tmp_path, command, extra)) == 0
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == solver_line + learner_line
+        if solver_line:
+            assert err[0].startswith("warning: stable_greenkhorn did not converge in 1 iterations")
+            assert "violations (" in err[0] and "tolerance 1e-06" in err[0]
+        if learner_line:
+            assert err[-1] == "warning: learning stopped at its cap of 1 epochs"
+        assert "warning" not in captured.out
+
+    @pytest.mark.parametrize("command", ["pipeline", "eval", "classify", "plan", "learn"])
+    def test_converged_run_is_silent(self, cli_fixture, tmp_path, capsys, command):
+        extra = ["--tau-ot", "0.05", "--max-iterations", "20000"]
+        if command != "plan":
+            extra += ["--lr", "0"]  # the loss stops falling after one epoch
+        assert main(self._args(cli_fixture, tmp_path, command, extra)) == 0
+        assert capsys.readouterr().err == ""

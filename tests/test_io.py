@@ -189,6 +189,9 @@ class TestKnowledgeBaseFile:
             ("embeddings", [["1", "0", "0"], [0.0, 1.0, 0.0]], "only numbers"),
             ("name_embedding", ["x", "y", "z"], "only numbers"),
             ("name_embedding", [[1.0, 0.0, 0.0]], "1-D"),
+            ("embeddings", [[True, 0.0, 0.0], [0.0, 1.0, 0.0]], "not booleans"),
+            ("embeddings", [[1, 0, 0], [0, 1, False]], "not booleans"),
+            ("name_embedding", [1.0, False, 0.0], "not booleans"),
         ],
     )
     def test_malformed_arrays_name_the_class(self, tmp_path, field, value, match):
@@ -243,6 +246,35 @@ class TestLabels:
         labels.write_text("5\n")
         with pytest.raises(DataError, match="out of range"):
             pio.read_labels(labels, kb)
+
+    @pytest.mark.parametrize("token", ["1_0", "+1", "\u0661", "\uff11", "-0", "1.0"])
+    def test_only_ascii_digits_are_indices(self, tmp_path, token):
+        kb = self._kb(tmp_path)
+        labels = tmp_path / "y.txt"
+        labels.write_text(f"0\n{token}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=":2: label .* is not a class name"):
+            pio.read_labels(labels, kb)
+
+    def test_leading_zeros_and_huge_indices(self, tmp_path):
+        kb = self._kb(tmp_path)
+        labels = tmp_path / "y.txt"
+        labels.write_text("00\n001\n")
+        np.testing.assert_array_equal(pio.read_labels(labels, kb), [0, 1])
+        labels.write_text("0" * 5000 + "1\n")
+        np.testing.assert_array_equal(pio.read_labels(labels, kb), [1])
+        labels.write_text("9" * 5000 + "\n")  # beyond int()'s digit limit
+        with pytest.raises(DataError, match="out of range"):
+            pio.read_labels(labels, kb)
+
+    def test_digit_like_class_names_are_names(self, tmp_path):
+        doc = _kb_doc()
+        doc["classes"][0]["name"] = "+1"
+        path = tmp_path / "kb.json"
+        path.write_text(json.dumps(doc))
+        kb = pio.read_knowledge_base(path)
+        labels = tmp_path / "y.txt"
+        labels.write_text("+1\n1\n")
+        np.testing.assert_array_equal(pio.read_labels(labels, kb), [0, 1])
 
 
 class TestMarginal:

@@ -129,3 +129,68 @@ label_lines = st.lists(
 def test_read_labels_raises_only_data_error(work, blob):
     directory, kb = work
     _only_data_errors(lambda p: pio.read_labels(p, kb), directory / "y.txt", blob)
+
+
+def _expected_label(token, names):
+    """A stripped token's class index, or None: ASCII digits index, anything else names."""
+    if token.isascii() and token.isdigit():
+        return int(token) if int(token) < len(names) else None
+    return names.index(token) if token in names else None
+
+
+digit_like = st.sampled_from(
+    ["0", "1", "2", "01", "+1", "-0", "1_0", "1.0", " 1", "\u0661", "\uff10", "a", "b", "1e0"]
+)
+
+
+@BOUNDED
+@given(tokens=st.lists(digit_like | st.text(max_size=3), min_size=1, max_size=5))
+def test_read_labels_takes_only_ascii_digits_as_indices(work, tokens):
+    directory, kb = work
+    path = directory / "y_idx.txt"
+    path.write_text("\n".join(tokens), encoding="utf-8", errors="surrogatepass")
+    lines = "\n".join(tokens).splitlines()
+    expected = [_expected_label(line.strip(), kb.names) for line in lines]
+    if lines and None not in expected:
+        assert pio.read_labels(path, kb).tolist() == expected
+    else:
+        with pytest.raises(DataError):
+            pio.read_labels(path, kb)
+
+
+def _as_json_bool(row, position):
+    """``row`` with its entry at ``position`` (when given) as the equal JSON boolean."""
+    row = list(row)
+    if position is not None and row[position] in (0, 1):
+        row[position] = bool(row[position])
+    return row
+
+
+# unit rows, so numpy's coercion of a boolean to 0.0/1.0 would give a valid base
+unit_rows_maybe_bool = st.lists(
+    st.builds(
+        _as_json_bool,
+        st.sampled_from([[1.0, 0.0], [0, 1], [-1.0, 0], [0.0, -1]]),
+        st.sampled_from([None, 0, 1]),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@BOUNDED
+@given(rows=unit_rows_maybe_bool, field=st.sampled_from(["embeddings", "name_embedding"]))
+def test_knowledge_base_rejects_any_boolean_entry(work, rows, field):
+    directory, _ = work
+    cls = {"name": "a", "descriptions": ["x"] * len(rows), "embeddings": rows}
+    if field == "name_embedding":
+        cls = {"name": "a", "descriptions": ["x"], "embeddings": [[1.0, 0.0]],
+               "name_embedding": rows[0]}
+    path = directory / "kb_bool.json"
+    path.write_text(json.dumps({"dim": 2, "classes": [cls]}))
+    values = [x for row in rows for x in row] if field == "embeddings" else rows[0]
+    if any(isinstance(x, bool) for x in values):
+        with pytest.raises(DataError, match="only numbers"):
+            pio.read_knowledge_base(path)
+    else:
+        pio.read_knowledge_base(path)

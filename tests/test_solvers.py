@@ -1,10 +1,18 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import reference_plan
 
 from proxyot.errors import DataError, NumericOverflowError, UsageError
+from proxyot.numerics import _lse
 from proxyot.solvers import (
+    _REFRESH_EVERY,
+    _check_inputs,
+    _finish,
     ClassMarginal,
     SolverConfig,
     entropic_objective,
@@ -211,6 +219,141 @@ class TestStableGreenkhorn:
         cfg = SolverConfig(tau_ot=0.01, max_iterations=17, tolerance=0.0)
         plan = stable_greenkhorn(m, cfg, ClassMarginal.uniform(5))
         assert plan.iterations_used == 17
+
+
+def greedy_reference(m, cfg, q):
+    """Reference greedy loop: every update rescans all row and column violations.
+
+    Kept frozen for :func:`stable_greenkhorn`, which keeps the violations
+    incrementally and must give the same plan bit for bit.
+    """
+    mat, qv = _check_inputs(m, q)
+    n, _ = mat.shape
+    row_target = 1.0 / n
+    ln_row_target = -math.log(n)
+    positive = qv > 0
+    with np.errstate(divide="ignore"):
+        ln_q = np.log(qv)
+    log_p = mat / cfg.tau_ot
+    log_p[:, ~positive] = -np.inf
+    with np.errstate(over="ignore"):
+        p = np.exp(log_p)
+    row_sums = p.sum(axis=1)
+    col_sums = p.sum(axis=0)
+    iterations = 0
+    while iterations < cfg.max_iterations:
+        rv = np.abs(row_sums - row_target)
+        cv = np.abs(col_sums - qv)
+        r = int(np.argmax(rv))
+        c = int(np.argmax(cv))
+        if rv[r] <= cfg.tolerance and cv[c] <= cfg.tolerance:
+            row_sums = p.sum(axis=1)
+            col_sums = p.sum(axis=0)
+            if (
+                np.max(np.abs(row_sums - row_target)) <= cfg.tolerance
+                and np.max(np.abs(col_sums - qv)) <= cfg.tolerance
+            ):
+                break
+            continue
+        if rv[r] > cv[c]:
+            log_p[r, :] += ln_row_target - _lse(log_p[r, :], axis=0)
+            new_line = np.exp(log_p[r, :])
+            with np.errstate(invalid="ignore"):
+                col_sums += new_line - p[r, :]
+            p[r, :] = new_line
+            row_sums[r] = new_line.sum()
+            bad = np.isnan(col_sums)
+            if bad.any():
+                col_sums[bad] = p[:, bad].sum(axis=0)
+        else:
+            log_p[:, c] += ln_q[c] - _lse(log_p[:, c], axis=0)
+            new_line = np.exp(log_p[:, c])
+            with np.errstate(invalid="ignore"):
+                row_sums += new_line - p[:, c]
+            p[:, c] = new_line
+            col_sums[c] = new_line.sum()
+            bad = np.isnan(row_sums)
+            if bad.any():
+                row_sums[bad] = p[bad, :].sum(axis=1)
+        iterations += 1
+        if iterations % _REFRESH_EVERY == 0:
+            row_sums = p.sum(axis=1)
+            col_sums = p.sum(axis=0)
+    return _finish(log_p, row_target, q, iterations)
+
+
+def assert_same_plan(m, cfg, q):
+    got = stable_greenkhorn(m, cfg, q)
+    want = greedy_reference(m, cfg, q)
+    assert np.array_equal(got.log_p, want.log_p)
+    assert got.iterations_used == want.iterations_used
+    assert got.final_row_violation == want.final_row_violation
+    assert got.final_col_violation == want.final_col_violation
+    return got
+
+
+@st.composite
+def greedy_instances(draw):
+    """Small instances covering the greedy loop's special cases.
+
+    ``overflow`` puts m/tau = 1000 > 709 in one cell, so p starts with +inf;
+    ``wide`` spans exp(-700)..exp(700), so incremental sums lose the small
+    terms and the periodic refresh changes later choices; ``ties`` uses
+    integer entries, so rows, columns and violations tie exactly; weights of
+    zero give zero-mass columns.
+    """
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "ties", "overflow", "wide"]))
+    if kind == "ties":
+        m = np.log(rng.integers(1, 3, size=(n, k)).astype(float))
+        tau = 1.0
+    elif kind == "wide":
+        m = rng.uniform(-0.7, 0.7, size=(n, k))
+        tau = 1e-3
+    else:
+        m = rng.uniform(-1.0, 1.0, size=(n, k))
+        tau = draw(st.sampled_from([1.0, 0.1, 0.02]))
+        if kind == "overflow":
+            m[rng.integers(n), rng.integers(k)] = 1.0
+            tau = 1e-3
+    weights = rng.integers(0, 3, size=k) if draw(st.booleans()) else np.ones(k)
+    if not weights.any():
+        weights[rng.integers(k)] = 1
+    cfg = SolverConfig(
+        tau_ot=tau,
+        max_iterations=draw(
+            st.sampled_from([1, 2, 999, 1000, 1001, 2000, 2001]) | st.integers(1, 2_500)
+        ),
+        tolerance=draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3])),
+    )
+    return m, cfg, ClassMarginal.from_weights(weights)
+
+
+class TestGreedyMatchesReference:
+    """The incremental loop repeats the rescanning one exactly: same line at
+    every update, so the same plan, iteration count and violations."""
+
+    # bounded so the class stays a few seconds of the tier-1 run; a plan capped
+    # before its +inf lines were rescaled reports infinite violations
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+    @settings(max_examples=40, deadline=None)
+    @given(greedy_instances())
+    def test_random_instances(self, instance):
+        assert_same_plan(*instance)
+
+    def test_runs_past_two_refreshes(self):
+        m = random_instance(30, 5, BASE_SEED + 10, low=-0.7, high=0.7)
+        cfg = SolverConfig(tau_ot=1e-3, max_iterations=2 * _REFRESH_EVERY + 500, tolerance=0.0)
+        plan = assert_same_plan(m, cfg, ClassMarginal.from_weights([3, 1, 0, 2, 1]))
+        assert plan.iterations_used == 2 * _REFRESH_EVERY + 500
+
+    def test_overflowing_start(self):
+        m = random_instance(12, 4, BASE_SEED + 11)
+        cfg = SolverConfig(tau_ot=1e-3, max_iterations=3_000, tolerance=1e-9)
+        assert np.max(m) / cfg.tau_ot > 709.8  # exp overflows: p starts with +inf
+        assert_same_plan(m, cfg, ClassMarginal.uniform(4))
 
 
 class TestCrossRatioInvariant:
