@@ -247,10 +247,10 @@ def write_report(report, path) -> None:
 
 def write_predictions_csv(path, predictions, class_names) -> None:
     """Two-column CSV: image index, predicted class name."""
+    fields = [
+        '"' + name.replace('"', '""') + '"' if any(c in name for c in ',"\r\n') else name
+        for name in class_names
+    ]
     lines = ["index,predicted_class_name"]
-    for i, label in enumerate(predictions):
-        name = class_names[int(label)]
-        if "," in name or '"' in name or "\n" in name:
-            name = '"' + name.replace('"', '""') + '"'
-        lines.append(f"{i},{name}")
+    lines += [f"{i},{fields[int(label)]}" for i, label in enumerate(predictions)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, UsageError
+from .errors import DataError, NumericError, UsageError
 from .numerics import as_matrix, l2_normalize_rows, log_softmax_rows
 from .retrieval import TextProxies
 from .solvers import PseudoLabels
@@ -75,39 +75,37 @@ class LearnTrace:
     stop_reason: str  # "converged" or "max_epochs"
 
 
-def _check_shapes(w: np.ndarray, images: np.ndarray, labels: np.ndarray) -> None:
-    n, d = images.shape
-    k, dw = w.shape
+def _validated(w: np.ndarray, images, labels: PseudoLabels, tau: float) -> np.ndarray:
+    """Check tau and the shapes of one objective evaluation; return the image matrix."""
+    if tau <= 0:
+        raise UsageError(f"tau must be positive, got {tau}")
+    x = as_matrix(images, "image embeddings")
+    (n, d), (k, dw) = x.shape, w.shape
     if dw != d:
         raise UsageError(f"images have dim {d} but proxies have dim {dw}")
-    if labels.shape != (n, k):
+    if labels.p.shape != (n, k):
         raise UsageError(
-            f"labels shape {labels.shape} does not match {n} images x {k} classes"
+            f"labels shape {labels.p.shape} does not match {n} images x {k} classes"
         )
+    return x
+
+
+def _objective(w: np.ndarray, x: np.ndarray, p: np.ndarray, tau: float):
+    """(:func:`loss`, :func:`gradient`) of validated inputs from one logits pass."""
+    log_q = log_softmax_rows(x @ w.T, tau)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0, p * (np.log(p) - log_q), 0.0)
+    return float(terms.sum() / len(x)), (np.exp(log_q) - p).T @ x / (len(x) * tau)
 
 
 def loss(w: ProxyWeights, images, labels: PseudoLabels, tau: float) -> float:
     """Mean KL(labels || softmax(images @ w.T / tau)) over the dataset."""
-    if tau <= 0:
-        raise UsageError(f"tau must be positive, got {tau}")
-    x = as_matrix(images, "image embeddings")
-    _check_shapes(w.w, x, labels.p)
-    log_q = log_softmax_rows(x @ w.w.T, tau)
-    support = labels.p > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(support, labels.p * (np.log(labels.p) - log_q), 0.0)
-    return float(terms.sum() / x.shape[0])
+    return _objective(w.w, _validated(w.w, images, labels, tau), labels.p, tau)[0]
 
 
 def gradient(w: ProxyWeights, images, labels: PseudoLabels, tau: float) -> np.ndarray:
     """Analytic K x d gradient of :func:`loss`: (1/(N tau)) (P - Q)^T X."""
-    if tau <= 0:
-        raise UsageError(f"tau must be positive, got {tau}")
-    x = as_matrix(images, "image embeddings")
-    _check_shapes(w.w, x, labels.p)
-    p = np.exp(log_softmax_rows(x @ w.w.T, tau))
-    n = x.shape[0]
-    return (p - labels.p).T @ x / (n * tau)
+    return _objective(w.w, _validated(w.w, images, labels, tau), labels.p, tau)[1]
 
 
 def learn(
@@ -122,34 +120,36 @@ def learn(
     ``cfg.loss_tolerance`` (reason "converged") or after ``cfg.max_epochs``
     steps. Weight rows are re-normalized after every step.
     """
-    x = as_matrix(images, "image embeddings")
     w = init.w.copy()
-    _check_shapes(w, x, labels.p)
+    x = _validated(w, images, labels, cfg.tau_learn)
     velocity = np.zeros_like(w)
-    current = loss(ProxyWeights(w), x, labels, cfg.tau_learn)
+    # each evaluation gives this step's loss and the next step's gradient
+    current, g = _objective(w, x, labels.p, cfg.tau_learn)
     if not np.isfinite(current):
         raise NumericError(
             f"initial loss is {current!r} (learning_rate={cfg.learning_rate})"
         )
     losses = [current]
-    epochs_run = 0
     stop_reason = "max_epochs"
     for epoch in range(1, cfg.max_epochs + 1):
-        g = gradient(ProxyWeights(w), x, labels, cfg.tau_learn)
-        velocity = cfg.momentum * velocity - cfg.learning_rate * g
-        w = l2_normalize_rows(w + velocity)
-        current = loss(ProxyWeights(w), x, labels, cfg.tau_learn)
+        with np.errstate(over="ignore"):
+            velocity = cfg.momentum * velocity - cfg.learning_rate * g
+        try:
+            w = l2_normalize_rows(w + velocity)
+        except DataError as exc:  # a diverged step leaves a row with no finite, nonzero norm
+            raise NumericError(f"step diverged at epoch {epoch} "
+                               f"(learning_rate={cfg.learning_rate}): {exc}") from None
+        current, g = _objective(w, x, labels.p, cfg.tau_learn)
         if not np.isfinite(current):
             raise NumericError(
                 f"loss became {current!r} at epoch {epoch} "
                 f"(learning_rate={cfg.learning_rate})"
             )
         losses.append(current)
-        epochs_run = epoch
         if losses[-2] - losses[-1] < cfg.loss_tolerance:
             stop_reason = "converged"
             break
-    return ProxyWeights(w), LearnTrace(losses, epochs_run, stop_reason)
+    return ProxyWeights(w), LearnTrace(losses, len(losses) - 1, stop_reason)
 
 
 def classify(images, w: ProxyWeights) -> np.ndarray:

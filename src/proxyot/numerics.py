@@ -89,12 +89,16 @@ def log_softmax_rows(m: np.ndarray, tau: float) -> np.ndarray:
 
 
 def l2_normalize_rows(m) -> np.ndarray:
-    """Scale each row to unit Euclidean norm; a zero row is a data error."""
+    """Scale each row to unit Euclidean norm; a zero or norm-overflowing row is a data error."""
     mat = as_matrix(m, "l2_normalize input")
-    norms = np.linalg.norm(mat, axis=1)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(mat, axis=1)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise DataError(f"cannot normalize all-zero row {zero[0]}")
+    huge = np.flatnonzero(np.isinf(norms))
+    if huge.size:
+        raise DataError(f"cannot normalize row {huge[0]}: its norm overflows")
     return mat / norms[:, None]
 
 

@@ -177,7 +177,13 @@ def _finish(
 ) -> TransportPlan:
     assert not np.any(np.isnan(log_p)), "internal error: NaN in transport plan"
     assert not np.any(log_p == np.inf), "internal error: +inf in transport plan"
-    rv, cv = _violations_from_log(log_p, row_target, q.q)
+    with np.errstate(over="ignore"):  # a line never rescaled may still hold +inf mass
+        rv, cv = _violations_from_log(log_p, row_target, q.q)
+    if not (math.isfinite(rv) and math.isfinite(cv)):
+        raise NumericOverflowError(
+            f"plan mass overflows after {iterations} iterations: some line was never "
+            "rescaled; rerun with a higher --max-iterations"
+        )
     return TransportPlan(
         log_p=log_p,
         row_target=row_target,
@@ -186,6 +192,30 @@ def _finish(
         final_row_violation=rv,
         final_col_violation=cv,
     )
+
+
+def _scaled(mat: np.ndarray, tau: float) -> np.ndarray:
+    """m/tau, which every solver starts from; a denormal tau can push it out of range."""
+    with np.errstate(over="ignore"):
+        scaled = mat / tau
+    if not np.all(np.isfinite(scaled)):
+        i, j = np.argwhere(~np.isfinite(scaled))[0]
+        raise NumericOverflowError(
+            f"m/tau overflows at entry ({i}, {j}) (m={mat[i, j]:.6g}, tau={tau:.6g}); "
+            "rerun with a larger --tau-ot"
+        )
+    return scaled
+
+
+def _log_start(mat: np.ndarray, qv: np.ndarray, tau: float):
+    """The log-domain start log P = m/tau, ln q and the positive-mass column mask."""
+    log_p = _scaled(mat, tau)
+    positive = qv > 0
+    with np.errstate(divide="ignore"):
+        ln_q = np.log(qv)
+    # Zero-target columns admit exactly one feasible assignment: no mass.
+    log_p[:, ~positive] = -np.inf
+    return log_p, ln_q, positive
 
 
 def _require_finite(p: np.ndarray, stage: str) -> None:
@@ -208,9 +238,8 @@ def sinkhorn_linear(m, cfg: SolverConfig, q: ClassMarginal) -> TransportPlan:
     mat, qv = _check_inputs(m, q)
     n, _ = mat.shape
     row_target = 1.0 / n
-    scaled = mat / cfg.tau_ot
     with np.errstate(over="ignore"):
-        p = np.exp(scaled)
+        p = np.exp(_scaled(mat, cfg.tau_ot))
     if not np.all(np.isfinite(p)):
         i, j = np.argwhere(~np.isfinite(p))[0]
         raise NumericOverflowError(
@@ -243,18 +272,15 @@ def sinkhorn_linear(m, cfg: SolverConfig, q: ClassMarginal) -> TransportPlan:
 def sinkhorn_log(m, cfg: SolverConfig, q: ClassMarginal) -> TransportPlan:
     """Same fixed point as :func:`sinkhorn_linear`, every normalization in log space.
 
-    Never produces +inf or NaN for finite input and any tau > 0; columns with
-    zero target mass are emptied to -inf once and left alone.
+    Never produces +inf or NaN when m/tau is finite (otherwise it raises
+    :class:`NumericOverflowError`); columns with zero target mass are emptied
+    to -inf once and left alone.
     """
     mat, qv = _check_inputs(m, q)
     n, _ = mat.shape
     row_target = 1.0 / n
     ln_row_target = -math.log(n)
-    positive = qv > 0
-    with np.errstate(divide="ignore"):
-        ln_q = np.log(qv)
-    log_p = mat / cfg.tau_ot
-    log_p[:, ~positive] = -np.inf
+    log_p, ln_q, positive = _log_start(mat, qv, cfg.tau_ot)
     all_positive = bool(positive.all())
     iterations = 0
     for _ in range(cfg.max_iterations):
@@ -291,15 +317,10 @@ def stable_greenkhorn(m, cfg: SolverConfig, q: ClassMarginal) -> TransportPlan:
     diagonal-scaling structure of the initialization.
     """
     mat, qv = _check_inputs(m, q)
-    n, k = mat.shape
+    n, _ = mat.shape
     row_target = 1.0 / n
     ln_row_target = -math.log(n)
-    positive = qv > 0
-    with np.errstate(divide="ignore"):
-        ln_q = np.log(qv)
-    log_p = mat / cfg.tau_ot
-    # Zero-target columns admit exactly one feasible assignment: no mass.
-    log_p[:, ~positive] = -np.inf
+    log_p, ln_q, _ = _log_start(mat, qv, cfg.tau_ot)
     tol = cfg.tolerance
     iterations = 0
     # exp overflow, log(0) and inf - inf are all expected below; one errstate

@@ -170,6 +170,79 @@ class TestExitCodes:
         assert "overflow" in capsys.readouterr().err
 
 
+class TestNumericEdges:
+    """Inputs that leave the float range exit with one error line: no numpy
+    warning (any warning fails these tests) and no traceback."""
+
+    def _stage(self, fx, tmp_path, command, *extra):
+        return main(
+            [command, "--images", str(fx / "images.emb"), "--kb", str(fx / "kb.json"),
+             "--out", str(tmp_path / "out"), *extra]
+        )
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "mode", ["clip_baseline", "description_baseline", "kpl_text", "kpl_full"]
+    )
+    def test_image_row_with_overflowing_norm_is_data_error(
+        self, cli_fixture, tmp_path, capsys, mode
+    ):
+        rows = pio.read_embeddings(cli_fixture / "images.emb")
+        rows[3] *= 1e200
+        images = tmp_path / "huge.emb"
+        pio.write_embeddings(rows, images)
+        code = main(
+            ["pipeline", "--mode", mode, "--images", str(images),
+             "--kb", str(cli_fixture / "kb.json"), "--out", str(tmp_path / "r.json")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["data error: cannot normalize row 3: its norm overflows"]
+
+    @pytest.mark.filterwarnings("error")
+    def test_diverging_learning_step_is_numeric_error(self, cli_fixture, tmp_path, capsys):
+        assert self._stage(cli_fixture, tmp_path, "learn", "--lr", "1e308") == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numeric error: step diverged")
+        assert "epoch 1" in err[0] and "learning_rate=1e+308" in err[0]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("algorithm", ["sinkhorn_linear", "sinkhorn_log", "stable_greenkhorn"])
+    def test_denormal_tau_is_numeric_error(self, cli_fixture, tmp_path, capsys, algorithm):
+        code = self._stage(
+            cli_fixture, tmp_path, "plan", "--tau-ot", "1e-310", "--algorithm", algorithm
+        )
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numeric error: m/tau overflows")
+
+    @pytest.mark.filterwarnings("error")
+    def test_capped_plan_with_overflowing_mass_is_numeric_error(
+        self, cli_fixture, tmp_path, capsys
+    ):
+        code = self._stage(
+            cli_fixture, tmp_path, "plan", "--tau-ot", "0.001", "--max-iterations", "1"
+        )
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numeric error: plan mass overflows")
+        assert "after 1 iterations" in err[0] and "--max-iterations" in err[0]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_bench_ot_reports_overflowing_mass(self, cli_fixture, tmp_path, capsys):
+        code = self._stage(
+            cli_fixture, tmp_path, "bench-ot", "--tau-ot", "0.001",
+            "--max-iterations", "1", "--algorithm", "stable_greenkhorn",
+        )
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("stable_greenkhorn: plan mass overflows after 1 iterations")
+        rows = json.loads((tmp_path / "out").read_text())
+        assert rows[0]["status"] == "numeric_overflow"
+
+
 class TestPipelineCommand:
     def test_happy_path_writes_report_and_csv(self, cli_fixture, tmp_path, capsys):
         out = tmp_path / "report.json"

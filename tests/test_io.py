@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -369,3 +370,13 @@ class TestReportWriting:
         path = tmp_path / "p.csv"
         pio.write_predictions_csv(path, np.array([0]), ['cloudy, "opaque" lens'])
         assert path.read_text().splitlines()[1] == '0,"cloudy, ""opaque"" lens"'
+
+    def test_csv_names_round_trip_through_csv_reader(self, tmp_path):
+        names = ["plain", 'cloudy, "opaque" lens', "two\nlines", "carriage\rreturn", "a\r\nb"]
+        path = tmp_path / "p.csv"
+        pio.write_predictions_csv(path, np.arange(len(names)), names)
+        with open(path, newline="", encoding="utf-8") as f:
+            rows = list(csv.reader(f))
+        assert rows == [["index", "predicted_class_name"]] + [
+            [str(i), name] for i, name in enumerate(names)
+        ]

@@ -1,18 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import unit_rows
 
-from proxyot.errors import UsageError
+from proxyot import learner
+from proxyot.errors import NumericError, UsageError
 from proxyot.learner import (
     LearnConfig,
+    LearnTrace,
     ProxyWeights,
     classify,
     gradient,
     learn,
     loss,
 )
-from proxyot.numerics import softmax_rows
+from proxyot.numerics import l2_normalize_rows, log_softmax_rows, softmax_rows
 from proxyot.retrieval import TextProxies
 from proxyot.solvers import PseudoLabels
 
@@ -172,6 +176,170 @@ class TestLearn:
         _, trace = learn(images, labels, init, LearnConfig(max_epochs=3, loss_tolerance=0.0))
         assert trace.losses[0] == pytest.approx(before, rel=1e-15)
         assert len(trace.losses) == trace.epochs_run + 1
+
+
+def learn_reference(images, labels, init, cfg):
+    """Reference learning loop: each epoch computes the gradient and then the
+    loss separately, each with its own logits pass.
+
+    Kept frozen for :func:`learn`, which takes the loss and the next gradient
+    from one evaluation and must give the same weights and trace bit for bit.
+    """
+    tau = cfg.tau_learn
+
+    def ref_loss(w, x):
+        log_q = log_softmax_rows(x @ w.T, tau)
+        support = labels.p > 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(support, labels.p * (np.log(labels.p) - log_q), 0.0)
+        return float(terms.sum() / x.shape[0])
+
+    def ref_gradient(w, x):
+        p = np.exp(log_softmax_rows(x @ w.T, tau))
+        n = x.shape[0]
+        return (p - labels.p).T @ x / (n * tau)
+
+    x = np.asarray(images, dtype=np.float64)
+    w = init.w.copy()
+    velocity = np.zeros_like(w)
+    current = ref_loss(w, x)
+    if not np.isfinite(current):
+        raise NumericError(
+            f"initial loss is {current!r} (learning_rate={cfg.learning_rate})"
+        )
+    losses = [current]
+    epochs_run = 0
+    stop_reason = "max_epochs"
+    for epoch in range(1, cfg.max_epochs + 1):
+        g = ref_gradient(w, x)
+        velocity = cfg.momentum * velocity - cfg.learning_rate * g
+        w = l2_normalize_rows(w + velocity)
+        current = ref_loss(w, x)
+        if not np.isfinite(current):
+            raise NumericError(
+                f"loss became {current!r} at epoch {epoch} "
+                f"(learning_rate={cfg.learning_rate})"
+            )
+        losses.append(current)
+        epochs_run = epoch
+        if losses[-2] - losses[-1] < cfg.loss_tolerance:
+            stop_reason = "converged"
+            break
+    return ProxyWeights(w), LearnTrace(losses, epochs_run, stop_reason)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NumericError as exc:
+        return f"NumericError: {exc}"
+
+
+def assert_same_learning(images, labels, init, cfg):
+    got = _outcome(learn, images, labels, init, cfg)
+    want = _outcome(learn_reference, images, labels, init, cfg)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    (got_w, got_trace), (want_w, want_trace) = got, want
+    assert np.array_equal(got_w.w, want_w.w)
+    assert got_trace.losses == want_trace.losses
+    assert got_trace.epochs_run == want_trace.epochs_run
+    assert got_trace.stop_reason == want_trace.stop_reason
+
+
+def _learn_instance(seed, n, k, d, one_hot, **cfg):
+    rng = np.random.default_rng(seed)
+    images = unit_rows(rng, (n, d))
+    init = TextProxies(unit_rows(rng, (k, d)), "retrieved_mean")
+    if one_hot:
+        labels = PseudoLabels(np.eye(k)[rng.integers(k, size=n)])
+    else:
+        labels = PseudoLabels(rng.dirichlet(np.ones(k), size=n))
+    return images, labels, init, LearnConfig(**cfg)
+
+
+@st.composite
+def learn_instances(draw):
+    """Small problems over the loop's branches: one-hot and dense labels, a
+    frozen step, heavy momentum, no stop before the cap, a stop at epoch 1
+    and a denormal tau whose logits overflow."""
+    return _learn_instance(
+        draw(st.integers(0, 2**32 - 1)),
+        n=draw(st.integers(1, 60)),
+        k=draw(st.integers(1, 6)),
+        d=draw(st.integers(1, 8)),
+        one_hot=draw(st.booleans()),
+        tau_learn=draw(st.sampled_from([0.01, 0.1, 1.0, 1e-310])),
+        learning_rate=draw(st.sampled_from([0.0, 0.02, 0.5])),
+        momentum=draw(st.sampled_from([0.0, 0.5, 0.9])),
+        max_epochs=draw(st.integers(1, 40)),
+        loss_tolerance=draw(st.sampled_from([0.0, 1e-7, 1e-3, 1e9])),
+    )
+
+
+# a denormal tau overflows the logits in both loops before either raises
+_DENORMAL_TAU_WARNINGS = (
+    "ignore:overflow encountered:RuntimeWarning",
+    "ignore:invalid value encountered:RuntimeWarning",
+)
+
+
+class TestLearnMatchesReference:
+    """One objective evaluation per epoch repeats the two-pass loop exactly."""
+
+    @pytest.mark.filterwarnings(*_DENORMAL_TAU_WARNINGS)
+    @settings(max_examples=60, deadline=None)
+    @given(learn_instances())
+    def test_random_instances(self, instance):
+        assert_same_learning(*instance)
+
+    @pytest.mark.filterwarnings(*_DENORMAL_TAU_WARNINGS)
+    @pytest.mark.parametrize(
+        "one_hot, cfg, epochs",
+        [
+            (True, {}, None),
+            (False, {}, None),
+            (False, {"learning_rate": 0.0, "loss_tolerance": 0.0, "max_epochs": 30}, 30),
+            (True, {"momentum": 0.0, "learning_rate": 0.005, "loss_tolerance": 0.0,
+                    "max_epochs": 30}, 30),
+            (False, {"momentum": 0.9, "learning_rate": 0.001, "loss_tolerance": 0.0,
+                     "max_epochs": 30}, 30),
+            (True, {"momentum": 0.9}, None),
+            (True, {"loss_tolerance": 1e9}, 1),
+            (False, {"tau_learn": 1e-310}, None),
+        ],
+        ids=["one-hot", "dense", "lr-0", "momentum-0-to-cap", "momentum-0.9-to-cap",
+             "momentum-0.9", "stop-at-1", "denormal-tau"],
+    )
+    def test_named_cases(self, one_hot, cfg, epochs):
+        instance = _learn_instance(42, n=60, k=6, d=8, one_hot=one_hot, **cfg)
+        assert_same_learning(*instance)
+        if epochs is not None:
+            assert learn(*instance)[1].epochs_run == epochs
+
+    def test_denormal_tau_message(self):
+        instance = _learn_instance(42, n=10, k=3, d=4, one_hot=False, tau_learn=1e-310)
+        with np.errstate(all="ignore"), pytest.raises(NumericError) as err:
+            learn(*instance)
+        assert str(err.value) == "initial loss is nan (learning_rate=0.02)"
+
+    def test_images_are_checked_once_per_call(self, monkeypatch):
+        images, labels, init, cfg = _learn_instance(
+            7, n=30, k=4, d=6, one_hot=False, learning_rate=0.005, loss_tolerance=0.0,
+            max_epochs=20,
+        )
+        calls = []
+        real = learner.as_matrix
+
+        def counting(m, *args, **kwargs):
+            calls.append(m is images)
+            return real(m, *args, **kwargs)
+
+        monkeypatch.setattr(learner, "as_matrix", counting)
+        _, trace = learn(images, labels, init, cfg)
+        assert trace.epochs_run == 20
+        assert sum(calls) == 1
 
 
 class TestClassify:

@@ -127,6 +127,11 @@ class TestL2NormalizeRows:
         with pytest.raises(DataError, match="row 1"):
             l2_normalize_rows([[1.0, 0.0], [0.0, 0.0]])
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_norm_names_row(self):
+        with pytest.raises(DataError, match="row 1: its norm overflows"):
+            l2_normalize_rows([[1.0, 0.0], [1e200, 1e200]])
+
     def test_output_norms(self):
         rng = np.random.default_rng(0)
         out = l2_normalize_rows(rng.uniform(0.1, 9.0, size=(30, 5)))
