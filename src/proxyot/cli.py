@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import __version__
 from . import io as pio
-from .errors import DataError, NumericError, ProxyOTError, UsageError
+from .errors import DataError, ProxyOTError, UsageError
 from .fixture import NAME_NOISE_FACTOR, FixtureSpec, generate_fixture, write_fixture
 from .learner import LearnConfig
 from .pipeline import MODES, RunSpec, bench_solvers, learn_stage, learn_summary, load, run
@@ -316,18 +316,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse --help / --version
         code = exc.code
         return int(code) if code is not None else 0
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except (DataError, FileNotFoundError, PermissionError, IsADirectoryError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 3
     except ProxyOTError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
+    except (FileNotFoundError, PermissionError, IsADirectoryError) as exc:
+        print(f"{DataError.label}: {exc}", file=sys.stderr)
+        return DataError.exit_code
 
 
 if __name__ == "__main__":

@@ -90,12 +90,30 @@ def _validated(w: np.ndarray, images, labels: PseudoLabels, tau: float) -> np.nd
     return x
 
 
+def _logits(w: np.ndarray, x: np.ndarray, tau: float) -> np.ndarray:
+    """x @ w.T, after checking that x @ w.T / tau is finite; a denormal tau breaks it.
+
+    Only the largest magnitude can overflow, and Python float division
+    overflows to inf without a warning.
+    """
+    logits = x @ w.T
+    largest = max(float(logits.max(initial=0.0)), -float(logits.min(initial=0.0)))
+    if not np.isfinite(largest / tau):
+        raise NumericError(
+            f"x @ w.T / tau_learn overflows (largest |x @ w.T| = {largest:.6g}, "
+            f"tau_learn={tau:.6g}); rerun with a larger --tau-learn"
+        )
+    return logits
+
+
 def _objective(w: np.ndarray, x: np.ndarray, p: np.ndarray, tau: float):
     """(:func:`loss`, :func:`gradient`) of validated inputs from one logits pass."""
-    log_q = log_softmax_rows(x @ w.T, tau)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # just inside tau's range the log-softmax, the loss sum or the gradient can
+    # still overflow; the caller rejects a loss or step that is not finite
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        log_q = log_softmax_rows(_logits(w, x, tau), tau)
         terms = np.where(p > 0, p * (np.log(p) - log_q), 0.0)
-    return float(terms.sum() / len(x)), (np.exp(log_q) - p).T @ x / (len(x) * tau)
+        return float(terms.sum() / len(x)), (np.exp(log_q) - p).T @ x / (len(x) * tau)
 
 
 def loss(w: ProxyWeights, images, labels: PseudoLabels, tau: float) -> float:
@@ -122,29 +140,27 @@ def learn(
     """
     w = init.w.copy()
     x = _validated(w, images, labels, cfg.tau_learn)
+    settings = f"learning_rate={cfg.learning_rate}, tau_learn={cfg.tau_learn}"
     velocity = np.zeros_like(w)
     # each evaluation gives this step's loss and the next step's gradient
     current, g = _objective(w, x, labels.p, cfg.tau_learn)
     if not np.isfinite(current):
-        raise NumericError(
-            f"initial loss is {current!r} (learning_rate={cfg.learning_rate})"
-        )
+        raise NumericError(f"initial loss is {current!r} ({settings})")
     losses = [current]
     stop_reason = "max_epochs"
     for epoch in range(1, cfg.max_epochs + 1):
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 if g overflowed
             velocity = cfg.momentum * velocity - cfg.learning_rate * g
+        # a step whose squared norm overflows has lost all trace of w
+        if not np.isfinite(np.vdot(velocity, velocity)):
+            raise NumericError(f"step diverged at epoch {epoch} ({settings}): its norm overflows")
         try:
             w = l2_normalize_rows(w + velocity)
-        except DataError as exc:  # a diverged step leaves a row with no finite, nonzero norm
-            raise NumericError(f"step diverged at epoch {epoch} "
-                               f"(learning_rate={cfg.learning_rate}): {exc}") from None
+        except DataError as exc:  # the step cancelled a row of w exactly
+            raise NumericError(f"step diverged at epoch {epoch} ({settings}): {exc}") from None
         current, g = _objective(w, x, labels.p, cfg.tau_learn)
         if not np.isfinite(current):
-            raise NumericError(
-                f"loss became {current!r} at epoch {epoch} "
-                f"(learning_rate={cfg.learning_rate})"
-            )
+            raise NumericError(f"loss became {current!r} at epoch {epoch} ({settings})")
         losses.append(current)
         if losses[-2] - losses[-1] < cfg.loss_tolerance:
             stop_reason = "converged"
@@ -155,8 +171,6 @@ def learn(
 def classify(images, w: ProxyWeights) -> np.ndarray:
     """Argmax inner product per image; ties break to the lowest class index."""
     x = as_matrix(images, "image embeddings")
-    if x.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64)
     if x.shape[1] != w.w.shape[1]:
         raise UsageError(
             f"images have dim {x.shape[1]} but proxies have dim {w.w.shape[1]}"

@@ -23,12 +23,12 @@ __all__ = [
 ]
 
 
-def as_matrix(m, name: str = "matrix", require_finite: bool = True) -> np.ndarray:
-    """Coerce to a 2-D float64 array, optionally rejecting non-finite entries."""
+def as_matrix(m, name: str = "matrix") -> np.ndarray:
+    """Coerce to a 2-D float64 array, rejecting non-finite entries."""
     out = np.asarray(m, dtype=np.float64)
     if out.ndim != 2:
         raise UsageError(f"{name} must be 2-D, got {out.ndim}-D")
-    if require_finite and not np.all(np.isfinite(out)):
+    if not np.all(np.isfinite(out)):
         i, j = np.argwhere(~np.isfinite(out))[0]
         raise DataError(f"{name} has non-finite entry at ({i}, {j}): {out[i, j]!r}")
     return out
@@ -88,18 +88,33 @@ def log_softmax_rows(m: np.ndarray, tau: float) -> np.ndarray:
     return scaled - _lse(scaled, axis=1)[:, None]
 
 
+# Below this norm the squared entries summed by np.linalg.norm are subnormal or
+# zero, so the plain norm has lost digits (or all of them).
+_MIN_PLAIN_NORM = float(np.sqrt(np.finfo(np.float64).tiny))
+
+
 def l2_normalize_rows(m) -> np.ndarray:
-    """Scale each row to unit Euclidean norm; a zero or norm-overflowing row is a data error."""
+    """Scale each row to unit Euclidean norm; an all-zero row is a data error.
+
+    The plain norm squares the entries, so it overflows for entries above
+    ~1e154 and loses digits below ~1e-154. Only such rows are first divided
+    by their largest magnitude; every other row is divided by its plain norm.
+    """
     mat = as_matrix(m, "l2_normalize input")
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(mat, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
+    odd = np.flatnonzero((norms < _MIN_PLAIN_NORM) | np.isinf(norms))
+    if odd.size == 0:
+        return mat / norms[:, None]
+    top = np.abs(mat[odd]).max(axis=1)
+    zero = odd[top == 0.0]
     if zero.size:
         raise DataError(f"cannot normalize all-zero row {zero[0]}")
-    huge = np.flatnonzero(np.isinf(norms))
-    if huge.size:
-        raise DataError(f"cannot normalize row {huge[0]}: its norm overflows")
-    return mat / norms[:, None]
+    rows = mat[odd] / top[:, None]
+    norms[odd] = 1.0  # their rows are replaced below
+    out = mat / norms[:, None]
+    out[odd] = rows / np.linalg.norm(rows, axis=1)[:, None]
+    return out
 
 
 def cosine(a, b) -> float:

@@ -44,6 +44,19 @@ ALGORITHMS = ("sinkhorn_linear", "sinkhorn_log", "stable_greenkhorn")
 _REFRESH_EVERY = 1000
 
 
+def _weights(w) -> np.ndarray:
+    """A nonempty float64 vector of finite, nonnegative class weights."""
+    w = np.asarray(w, dtype=np.float64)
+    if w.ndim != 1 or w.size == 0:
+        raise UsageError("class marginal must be a nonempty vector")
+    if not np.all(np.isfinite(w)):
+        raise DataError("class marginal has a non-finite entry")
+    if np.any(w < 0):
+        j = int(np.flatnonzero(w < 0)[0])
+        raise DataError(f"class marginal entry {j} is negative: {w[j]}")
+    return w
+
+
 @dataclass(frozen=True)
 class ClassMarginal:
     """Target column masses: nonnegative weights summing to one."""
@@ -51,14 +64,7 @@ class ClassMarginal:
     q: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=np.float64)
-        if q.ndim != 1 or q.size == 0:
-            raise UsageError("class marginal must be a nonempty vector")
-        if not np.all(np.isfinite(q)):
-            raise DataError("class marginal has a non-finite entry")
-        if np.any(q < 0):
-            j = int(np.flatnonzero(q < 0)[0])
-            raise DataError(f"class marginal entry {j} is negative: {q[j]}")
+        q = _weights(self.q)
         if abs(float(q.sum()) - 1.0) > 1e-9:
             raise DataError(f"class marginal sums to {q.sum()!r}, expected 1")
         object.__setattr__(self, "q", q)
@@ -72,14 +78,7 @@ class ClassMarginal:
     @classmethod
     def from_weights(cls, weights) -> "ClassMarginal":
         """Build from unnormalized nonnegative weights, renormalizing exactly."""
-        w = np.asarray(weights, dtype=np.float64)
-        if w.ndim != 1 or w.size == 0:
-            raise UsageError("class marginal must be a nonempty vector")
-        if not np.all(np.isfinite(w)):
-            raise DataError("class marginal has a non-finite entry")
-        if np.any(w < 0):
-            j = int(np.flatnonzero(w < 0)[0])
-            raise DataError(f"class marginal entry {j} is negative: {w[j]}")
+        w = _weights(weights)
         total = float(w.sum())
         if total <= 0.0:
             raise DataError("class marginal has zero total mass")
@@ -160,25 +159,33 @@ def _check_inputs(m, q: ClassMarginal) -> tuple[np.ndarray, np.ndarray]:
     return mat, q.q
 
 
-def _violations_from_log(
-    log_p: np.ndarray, row_target: float, qv: np.ndarray
-) -> tuple[float, float]:
-    p = np.exp(log_p)
-    row = float(np.max(np.abs(p.sum(axis=1) - row_target)))
-    col = float(np.max(np.abs(p.sum(axis=0) - qv)))
-    return row, col
+def _line_sums(p: np.ndarray, row_target: float, qv: np.ndarray):
+    """Fresh row and column sums of ``p`` and their absolute violations."""
+    row_sums = p.sum(axis=1)
+    col_sums = p.sum(axis=0)
+    return row_sums, col_sums, np.abs(row_sums - row_target), np.abs(col_sums - qv)
+
+
+def _violations(p: np.ndarray, row_target: float, qv: np.ndarray) -> tuple[float, float]:
+    """L-infinity row and column violations of the linear-domain plan ``p``: every
+    solver's stop test and every reported violation (so ``converged``) is this."""
+    *_, rv, cv = _line_sums(p, row_target, qv)
+    return float(rv.max()), float(cv.max())
 
 
 def _finish(
     log_p: np.ndarray,
+    p: np.ndarray,
     row_target: float,
     q: ClassMarginal,
     iterations: int,
 ) -> TransportPlan:
+    """Package ``log_p`` with the violations of ``p``, the linear plan its solver's
+    stop test saw: exp(log_p), or for ``sinkhorn_linear`` the p that log_p is log of."""
     assert not np.any(np.isnan(log_p)), "internal error: NaN in transport plan"
     assert not np.any(log_p == np.inf), "internal error: +inf in transport plan"
     with np.errstate(over="ignore"):  # a line never rescaled may still hold +inf mass
-        rv, cv = _violations_from_log(log_p, row_target, q.q)
+        rv, cv = _violations(p, row_target, q.q)
     if not (math.isfinite(rv) and math.isfinite(cv)):
         raise NumericOverflowError(
             f"plan mass overflows after {iterations} iterations: some line was never "
@@ -249,9 +256,7 @@ def sinkhorn_linear(m, cfg: SolverConfig, q: ClassMarginal) -> TransportPlan:
         )
     col_factor = np.zeros_like(qv)
     positive = qv > 0
-    iterations = 0
-    for _ in range(cfg.max_iterations):
-        iterations += 1
+    for iterations in range(1, cfg.max_iterations + 1):
         with np.errstate(divide="ignore", invalid="ignore"):
             p *= (row_target / p.sum(axis=1))[:, None]
         _require_finite(p, "row normalization")
@@ -260,13 +265,12 @@ def sinkhorn_linear(m, cfg: SolverConfig, q: ClassMarginal) -> TransportPlan:
             np.divide(qv, col_sums, out=col_factor, where=positive)
         p *= col_factor[None, :]
         _require_finite(p, "column normalization")
-        rv = float(np.max(np.abs(p.sum(axis=1) - row_target)))
-        cv = float(np.max(np.abs(p.sum(axis=0) - qv)))
+        rv, cv = _violations(p, row_target, qv)
         if rv <= cfg.tolerance and cv <= cfg.tolerance:
             break
     with np.errstate(divide="ignore"):
         log_p = np.log(p)
-    return _finish(log_p, row_target, q, iterations)
+    return _finish(log_p, p, row_target, q, iterations)
 
 
 def sinkhorn_log(m, cfg: SolverConfig, q: ClassMarginal) -> TransportPlan:
@@ -281,27 +285,17 @@ def sinkhorn_log(m, cfg: SolverConfig, q: ClassMarginal) -> TransportPlan:
     row_target = 1.0 / n
     ln_row_target = -math.log(n)
     log_p, ln_q, positive = _log_start(mat, qv, cfg.tau_ot)
-    all_positive = bool(positive.all())
-    iterations = 0
-    for _ in range(cfg.max_iterations):
-        iterations += 1
+    for iterations in range(1, cfg.max_iterations + 1):
         log_p += (ln_row_target - _lse(log_p, axis=1))[:, None]
-        if all_positive:
-            log_p += (ln_q - _lse(log_p, axis=0))[None, :]
-        else:
-            col_adjust = ln_q[positive] - _lse(log_p[:, positive], axis=0)
-            log_p[:, positive] += col_adjust[None, :]
-        rv, cv = _violations_from_log(log_p, row_target, qv)
+        with np.errstate(invalid="ignore"):  # -inf - -inf on a zero-mass column
+            col_adjust = ln_q - _lse(log_p, axis=0)
+        col_adjust[~positive] = 0.0
+        log_p += col_adjust[None, :]
+        p = np.exp(log_p)
+        rv, cv = _violations(p, row_target, qv)
         if rv <= cfg.tolerance and cv <= cfg.tolerance:
             break
-    return _finish(log_p, row_target, q, iterations)
-
-
-def _line_sums(p: np.ndarray, row_target: float, qv: np.ndarray):
-    """Fresh row and column sums of ``p`` and their absolute violations."""
-    row_sums = p.sum(axis=1)
-    col_sums = p.sum(axis=0)
-    return row_sums, col_sums, np.abs(row_sums - row_target), np.abs(col_sums - qv)
+    return _finish(log_p, p, row_target, q, iterations)
 
 
 def stable_greenkhorn(m, cfg: SolverConfig, q: ClassMarginal) -> TransportPlan:
@@ -337,9 +331,10 @@ def stable_greenkhorn(m, cfg: SolverConfig, q: ClassMarginal) -> TransportPlan:
             worst_col = cv[c]
             if worst_row <= tol and worst_col <= tol:
                 # Incremental sums drift; confirm against fresh ones before stopping.
-                row_sums, col_sums, rv, cv = _line_sums(p, row_target, qv)
-                if rv.max() <= tol and cv.max() <= tol:
+                fresh_row, fresh_col = _violations(p, row_target, qv)
+                if fresh_row <= tol and fresh_col <= tol:
                     break
+                row_sums, col_sums, rv, cv = _line_sums(p, row_target, qv)
                 continue
             # A row holding a +inf entry of p has a +inf sum, so the worst row is
             # +inf while any is left. Rescaled lines are finite, so after that no
@@ -380,7 +375,7 @@ def stable_greenkhorn(m, cfg: SolverConfig, q: ClassMarginal) -> TransportPlan:
             iterations += 1
             if iterations % _REFRESH_EVERY == 0:
                 row_sums, col_sums, rv, cv = _line_sums(p, row_target, qv)
-    return _finish(log_p, row_target, q, iterations)
+    return _finish(log_p, p, row_target, q, iterations)
 
 
 _SOLVERS = {
@@ -397,7 +392,7 @@ def solve(m, cfg: SolverConfig, q: ClassMarginal) -> TransportPlan:
 
 def marginal_violations(plan: TransportPlan) -> tuple[float, float]:
     """L-infinity distance of the plan's row and column sums from their targets."""
-    return _violations_from_log(plan.log_p, plan.row_target, plan.col_target.q)
+    return _violations(np.exp(plan.log_p), plan.row_target, plan.col_target.q)
 
 
 def entropic_objective(plan: TransportPlan, m, tau: float) -> float:

@@ -187,17 +187,23 @@ class TestNumericEdges:
     def test_image_row_with_overflowing_norm_is_data_error(
         self, cli_fixture, tmp_path, capsys, mode
     ):
+        """A row whose squared entries overflow is normalized, not rejected: the
+        run predicts what it predicts on the unscaled file."""
         rows = pio.read_embeddings(cli_fixture / "images.emb")
         rows[3] *= 1e200
         images = tmp_path / "huge.emb"
         pio.write_embeddings(rows, images)
-        code = main(
-            ["pipeline", "--mode", mode, "--images", str(images),
-             "--kb", str(cli_fixture / "kb.json"), "--out", str(tmp_path / "r.json")]
-        )
-        assert code == 2
-        err = capsys.readouterr().err.splitlines()
-        assert err == ["data error: cannot normalize row 3: its norm overflows"]
+        outs = []
+        for name, path in (("huge", images), ("plain", cli_fixture / "images.emb")):
+            outs.append(tmp_path / f"{name}.json")
+            code = main(
+                ["pipeline", "--mode", mode, "--images", str(path),
+                 "--kb", str(cli_fixture / "kb.json"), "--out", str(outs[-1])]
+            )
+            assert code == 0
+        assert "warning" not in capsys.readouterr().err
+        huge, plain = (out.with_suffix(".csv").read_bytes() for out in outs)
+        assert huge == plain
 
     @pytest.mark.filterwarnings("error")
     def test_diverging_learning_step_is_numeric_error(self, cli_fixture, tmp_path, capsys):
@@ -429,4 +435,20 @@ class TestCapWarnings:
         if command != "plan":
             extra += ["--lr", "0"]  # the loss stops falling after one epoch
         assert main(self._args(cli_fixture, tmp_path, command, extra)) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_linear_stop_on_its_tolerance_reports_converged(self, tmp_path, capsys):
+        """On this instance sinkhorn_linear stops at sweep 77 on a tolerance that
+        lies between the row violation of its plan p and that of exp(log(p)).
+        The plan reports the violations its stop test saw, so it converged."""
+        fx = tmp_path / "fx7"
+        assert main(["gen-fixture", "--seed", "7", "--out", str(fx)]) == 0
+        capsys.readouterr()
+        extra = ["--algorithm", "sinkhorn_linear", "--tau-ot", "0.05",
+                 "--tolerance", "9.95100506571e-07"]
+        assert main(self._args(fx, tmp_path, "plan", extra)) == 0
+        doc = json.loads((tmp_path / "out").read_text())
+        assert doc["iterations_used"] == 77
+        assert doc["converged"] is True
+        assert doc["final_row_violation"] <= 9.95100506571e-07
         assert capsys.readouterr().err == ""

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import unit_rows
 
 from proxyot import learner
-from proxyot.errors import NumericError, UsageError
+from proxyot.errors import DataError, NumericError, UsageError
 from proxyot.learner import (
     LearnConfig,
     LearnTrace,
@@ -186,9 +186,17 @@ def learn_reference(images, labels, init, cfg):
     from one evaluation and must give the same weights and trace bit for bit.
     """
     tau = cfg.tau_learn
+    settings = f"learning_rate={cfg.learning_rate}, tau_learn={tau}"
 
     def ref_loss(w, x):
-        log_q = log_softmax_rows(x @ w.T, tau)
+        logits = x @ w.T
+        largest = float(np.abs(logits).max(initial=0.0))
+        if not np.isfinite(largest / tau):
+            raise NumericError(
+                f"x @ w.T / tau_learn overflows (largest |x @ w.T| = {largest:.6g}, "
+                f"tau_learn={tau:.6g}); rerun with a larger --tau-learn"
+            )
+        log_q = log_softmax_rows(logits, tau)
         support = labels.p > 0
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(support, labels.p * (np.log(labels.p) - log_q), 0.0)
@@ -204,22 +212,20 @@ def learn_reference(images, labels, init, cfg):
     velocity = np.zeros_like(w)
     current = ref_loss(w, x)
     if not np.isfinite(current):
-        raise NumericError(
-            f"initial loss is {current!r} (learning_rate={cfg.learning_rate})"
-        )
+        raise NumericError(f"initial loss is {current!r} ({settings})")
     losses = [current]
     epochs_run = 0
     stop_reason = "max_epochs"
     for epoch in range(1, cfg.max_epochs + 1):
         g = ref_gradient(w, x)
         velocity = cfg.momentum * velocity - cfg.learning_rate * g
-        w = l2_normalize_rows(w + velocity)
+        try:
+            w = l2_normalize_rows(w + velocity)
+        except DataError as exc:
+            raise NumericError(f"step diverged at epoch {epoch} ({settings}): {exc}") from None
         current = ref_loss(w, x)
         if not np.isfinite(current):
-            raise NumericError(
-                f"loss became {current!r} at epoch {epoch} "
-                f"(learning_rate={cfg.learning_rate})"
-            )
+            raise NumericError(f"loss became {current!r} at epoch {epoch} ({settings})")
         losses.append(current)
         epochs_run = epoch
         if losses[-2] - losses[-1] < cfg.loss_tolerance:
@@ -278,23 +284,14 @@ def learn_instances(draw):
     )
 
 
-# a denormal tau overflows the logits in both loops before either raises
-_DENORMAL_TAU_WARNINGS = (
-    "ignore:overflow encountered:RuntimeWarning",
-    "ignore:invalid value encountered:RuntimeWarning",
-)
-
-
 class TestLearnMatchesReference:
     """One objective evaluation per epoch repeats the two-pass loop exactly."""
 
-    @pytest.mark.filterwarnings(*_DENORMAL_TAU_WARNINGS)
     @settings(max_examples=60, deadline=None)
     @given(learn_instances())
     def test_random_instances(self, instance):
         assert_same_learning(*instance)
 
-    @pytest.mark.filterwarnings(*_DENORMAL_TAU_WARNINGS)
     @pytest.mark.parametrize(
         "one_hot, cfg, epochs",
         [
@@ -318,11 +315,27 @@ class TestLearnMatchesReference:
         if epochs is not None:
             assert learn(*instance)[1].epochs_run == epochs
 
+    def test_step_that_cancels_a_row_diverges(self):
+        # one sample per class on opposite sides of d = 1: the first step takes
+        # proxy row 1 from 1.0 to exactly 0.0
+        instance = (
+            np.array([[1.0], [-1.0]]),
+            PseudoLabels(np.eye(2)),
+            TextProxies(np.ones((2, 1)), "retrieved_mean"),
+            LearnConfig(momentum=0.0, max_epochs=1, loss_tolerance=0.0),
+        )
+        assert_same_learning(*instance)
+        with pytest.raises(NumericError, match="step diverged at epoch 1 .*all-zero row 1"):
+            learn(*instance)
+
     def test_denormal_tau_message(self):
         instance = _learn_instance(42, n=10, k=3, d=4, one_hot=False, tau_learn=1e-310)
-        with np.errstate(all="ignore"), pytest.raises(NumericError) as err:
+        with pytest.raises(NumericError) as err:
             learn(*instance)
-        assert str(err.value) == "initial loss is nan (learning_rate=0.02)"
+        assert str(err.value) == (
+            "x @ w.T / tau_learn overflows (largest |x @ w.T| = 0.909329, "
+            "tau_learn=1e-310); rerun with a larger --tau-learn"
+        )
 
     def test_images_are_checked_once_per_call(self, monkeypatch):
         images, labels, init, cfg = _learn_instance(

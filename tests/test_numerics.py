@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxyot.errors import DataError, UsageError
 from proxyot.numerics import (
@@ -129,8 +131,43 @@ class TestL2NormalizeRows:
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_norm_names_row(self):
-        with pytest.raises(DataError, match="row 1: its norm overflows"):
-            l2_normalize_rows([[1.0, 0.0], [1e200, 1e200]])
+        """Rows whose squared entries over- or underflow are normalized too."""
+        out = l2_normalize_rows(
+            [[1.0, 0.0], [1e200, 1e200], [1e-200, 1e-200], [1e-170, 0.0], [1e-160, 1e-160]]
+        )
+        half = math.sqrt(0.5)
+        np.testing.assert_allclose(
+            out, [[1.0, 0.0], [half, half], [half, half], [1.0, 0.0], [half, half]],
+            rtol=0, atol=1e-15,
+        )
+
+    def test_zero_row_after_tiny_rows_names_its_index(self):
+        with pytest.raises(DataError, match="all-zero row 2"):
+            l2_normalize_rows([[1e-200, 0.0], [1e200, 1.0], [0.0, 0.0], [0.0, 0.0]])
+
+    def test_ordinary_rows_unchanged_beside_rescaled_ones(self):
+        rng = np.random.default_rng(5)
+        m = rng.standard_normal((6, 4))
+        mixed = m.copy()
+        mixed[2] *= 1e200
+        mixed[4] *= 1e-200
+        keep = [0, 1, 3, 5]
+        assert np.array_equal(l2_normalize_rows(mixed)[keep], l2_normalize_rows(m)[keep])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.floats(-1.0, 1.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-3),
+            min_size=1, max_size=8,
+        ).filter(lambda row: any(row)),
+        # the second band is where squared entries are subnormal but not all zero
+        st.integers(-1000, 1000) | st.integers(-575, -505),
+    )
+    def test_power_of_two_scaled_rows_come_out_unit(self, row, exponent):
+        base = np.array([row])
+        out = l2_normalize_rows(base * 2.0**exponent)  # exact: entries stay normal
+        np.testing.assert_allclose(np.linalg.norm(out), 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out, base / np.linalg.norm(base), rtol=0, atol=1e-12)
 
     def test_output_norms(self):
         rng = np.random.default_rng(0)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from proxyot.solvers import (
     _REFRESH_EVERY,
     _check_inputs,
     _finish,
+    ALGORITHMS,
     ClassMarginal,
     SolverConfig,
+    TransportPlan,
     entropic_objective,
     marginal_violations,
     pseudo_labels,
@@ -279,7 +282,7 @@ def greedy_reference(m, cfg, q):
         if iterations % _REFRESH_EVERY == 0:
             row_sums = p.sum(axis=1)
             col_sums = p.sum(axis=0)
-    return _finish(log_p, row_target, q, iterations)
+    return _finish(log_p, p, row_target, q, iterations)
 
 
 def _outcome(solver, m, cfg, q):
@@ -364,6 +367,104 @@ class TestGreedyMatchesReference:
         cfg = SolverConfig(tau_ot=1e-3, max_iterations=3_000, tolerance=1e-9)
         assert np.max(m) / cfg.tau_ot > 709.8  # exp overflows: p starts with +inf
         assert_same_plan(m, cfg, ClassMarginal.uniform(4))
+
+
+def sinkhorn_log_reference(m, cfg, q):
+    """Reference log-domain loop: the column update skips zero-mass columns
+    (a separate branch when every class has mass), and each sweep's violations
+    come from a fresh exp(log_p).
+
+    Kept frozen for :func:`sinkhorn_log`, whose single masked column update
+    must give the same plan bit for bit when every class has mass.
+    """
+    mat, qv = _check_inputs(m, q)
+    n, _ = mat.shape
+    row_target = 1.0 / n
+    ln_row_target = -math.log(n)
+    positive = qv > 0
+    with np.errstate(divide="ignore"):
+        ln_q = np.log(qv)
+    log_p = mat / cfg.tau_ot
+    log_p[:, ~positive] = -np.inf
+    iterations = 0
+    for _ in range(cfg.max_iterations):
+        iterations += 1
+        log_p += (ln_row_target - _lse(log_p, axis=1))[:, None]
+        if positive.all():
+            log_p += (ln_q - _lse(log_p, axis=0))[None, :]
+        else:
+            col_adjust = ln_q[positive] - _lse(log_p[:, positive], axis=0)
+            log_p[:, positive] += col_adjust[None, :]
+        p = np.exp(log_p)
+        rv = float(np.max(np.abs(p.sum(axis=1) - row_target)))
+        cv = float(np.max(np.abs(p.sum(axis=0) - qv)))
+        if rv <= cfg.tolerance and cv <= cfg.tolerance:
+            break
+    return TransportPlan(log_p, row_target, q, iterations, rv, cv)
+
+
+@st.composite
+def well_scaled_instances(draw, zero_mass):
+    """Small well-scaled instances; ``zero_mass`` gives at least one empty class."""
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(2 if zero_mass else 1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.uniform(-1.0, 1.0, size=(n, k))
+    weights = rng.integers(1, 4, size=k).astype(float)
+    if zero_mass:
+        weights[rng.permutation(k)[: rng.integers(1, k)]] = 0.0
+    cfg = SolverConfig(
+        tau_ot=draw(st.sampled_from([1.0, 0.1, 0.02])),
+        max_iterations=draw(st.integers(1, 400)),
+        tolerance=0.0 if zero_mass else draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3])),
+    )
+    return m, cfg, ClassMarginal.from_weights(weights)
+
+
+class TestSinkhornLogMatchesReference:
+    """One masked column update repeats the two-branch loop."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(well_scaled_instances(zero_mass=False))
+    def test_every_class_with_mass_is_bit_identical(self, instance):
+        got, want = sinkhorn_log(*instance), sinkhorn_log_reference(*instance)
+        assert np.array_equal(got.log_p, want.log_p)
+        assert got.iterations_used == want.iterations_used
+        assert got.final_row_violation == want.final_row_violation
+        assert got.final_col_violation == want.final_col_violation
+
+    @settings(max_examples=40, deadline=None)
+    @given(well_scaled_instances(zero_mass=True))
+    def test_zero_mass_classes_agree_to_rounding(self, instance):
+        got, want = sinkhorn_log(*instance), sinkhorn_log_reference(*instance)
+        assert got.iterations_used == want.iterations_used
+        assert np.array_equal(np.isneginf(got.log_p), np.isneginf(want.log_p))
+        np.testing.assert_allclose(got.log_p, want.log_p, rtol=0, atol=1e-12)
+
+
+class TestStopMatchesVerdict:
+    """A solve that stops before its cap stopped on its own test, so the plan
+    it reports must call itself converged."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(ALGORITHMS),
+        well_scaled_instances(zero_mass=False) | well_scaled_instances(zero_mass=True),
+    )
+    def test_early_stop_reports_converged(self, algorithm, instance):
+        m, cfg, q = instance
+        # a tolerance equal to a violation the solver reported mid-run puts the
+        # stop exactly on the boundary of the test
+        mid = solve(m, replace(cfg, algorithm=algorithm, tolerance=0.0), q)
+        tolerance = max(mid.final_row_violation, mid.final_col_violation)
+        cfg = replace(
+            cfg, algorithm=algorithm, tolerance=tolerance, max_iterations=2 * cfg.max_iterations
+        )
+        plan = solve(m, cfg, q)
+        if algorithm != "stable_greenkhorn":
+            assert plan.iterations_used <= mid.iterations_used
+        if plan.iterations_used < cfg.max_iterations:
+            assert plan.converged(cfg.tolerance)
 
 
 class TestCrossRatioInvariant:
