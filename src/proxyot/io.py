@@ -50,11 +50,12 @@ def write_embeddings(matrix, path, dtype: str = "binary64") -> None:
     """Write a matrix as an EMB1 file; binary32 narrows the payload."""
     if dtype not in _DTYPE_CODES:
         raise UsageError(f"dtype must be binary32 or binary64, got {dtype!r}")
-    mat = np.ascontiguousarray(np.asarray(matrix, dtype=np.float64))
+    mat = np.asarray(matrix, dtype=np.float64)
     if mat.ndim != 2:
         raise UsageError(f"embedding matrix must be 2-D, got {mat.ndim}-D")
     code = _DTYPE_CODES[dtype]
-    payload = np.ascontiguousarray(mat.astype(_DTYPES[code])).tobytes()
+    # written from its own buffer: no copy for a C-ordered float64 matrix
+    payload = np.ascontiguousarray(mat, dtype=_DTYPES[code])
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _VERSION, code, mat.shape[0], mat.shape[1]))
         fh.write(payload)
@@ -92,38 +93,65 @@ def _numeric_array(value, what: str, ndim: int) -> np.ndarray:
     return arr.astype(np.float64, copy=False)
 
 
+def _drain(fh) -> int:
+    """Read ``fh`` to its end; the number of bytes that were left."""
+    left = 0
+    while chunk := fh.read(1 << 20):
+        left += len(chunk)
+    return left
+
+
 def read_embeddings(path) -> np.ndarray:
-    """Read an EMB1 file into a float64 matrix, verifying the payload CRC."""
-    blob = Path(path).read_bytes()
-    if len(blob) < _HEADER.size:
-        raise DataError(
-            f"{path}: truncated header, file ends at byte {len(blob)} "
-            f"but the header needs {_HEADER.size}"
-        )
-    magic, version, code, rows, cols = _HEADER.unpack_from(blob, 0)
-    if magic != _MAGIC:
-        raise DataError(f"{path}: bad magic {magic!r} at byte offset 0")
-    if version != _VERSION:
-        raise DataError(f"{path}: unsupported version {version} at byte offset 4")
-    if code not in _DTYPES:
-        raise DataError(f"{path}: unknown dtype code {code} at byte offset 6")
-    item = _DTYPES[code].itemsize
-    payload_len = rows * cols * item
-    expected = _HEADER.size + payload_len + 4
-    if len(blob) != expected:
-        raise DataError(
-            f"{path}: truncated or oversized file, ends at byte {len(blob)} "
-            f"but {rows}x{cols} {item * 8}-bit payload plus CRC needs {expected}"
-        )
-    payload = blob[_HEADER.size : _HEADER.size + payload_len]
-    (stored_crc,) = struct.unpack_from("<I", blob, _HEADER.size + payload_len)
-    actual_crc = zlib.crc32(payload)
+    """Read an EMB1 file into a float64 matrix, verifying the payload CRC.
+
+    The payload is read straight into the array that holds it, so a binary64
+    file is held once and a binary32 file once more while it widens. The
+    file's size is judged by what the reads return, so a pipe works too.
+    """
+    with open(path, "rb") as fh:
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise DataError(
+                f"{path}: truncated header, file ends at byte {len(header)} "
+                f"but the header needs {_HEADER.size}"
+            )
+        magic, version, code, rows, cols = _HEADER.unpack(header)
+        if magic != _MAGIC:
+            raise DataError(f"{path}: bad magic {magic!r} at byte offset 0")
+        if version != _VERSION:
+            raise DataError(f"{path}: unsupported version {version} at byte offset 4")
+        if code not in _DTYPES:
+            raise DataError(f"{path}: unknown dtype code {code} at byte offset 6")
+        item = _DTYPES[code].itemsize
+        payload_len = rows * cols * item
+        expected = _HEADER.size + payload_len + 4
+
+        def size_error(end: int) -> DataError:
+            return DataError(
+                f"{path}: truncated or oversized file, ends at byte {end} "
+                f"but {rows}x{cols} {item * 8}-bit payload plus CRC needs {expected}"
+            )
+
+        try:  # flat, so a zero-size payload always fits; shaped below
+            values = np.empty(rows * cols, dtype=_DTYPES[code])
+        except (MemoryError, ValueError) as exc:  # more than numpy can hold
+            end = _HEADER.size + _drain(fh)
+            if end != expected:
+                raise size_error(end) from None
+            raise DataError(f"{path}: cannot shape {rows}x{cols}: {exc}") from exc
+        got = fh.readinto(values)  # a buffered read fills it unless the stream ends
+        tail = fh.read(4)
+        end = _HEADER.size + got + len(tail) + _drain(fh)
+    if end != expected:
+        raise size_error(end)
+    (stored_crc,) = struct.unpack("<I", tail)
+    actual_crc = zlib.crc32(values)
     if stored_crc != actual_crc:
         raise DataError(
             f"{path}: CRC-32 mismatch at byte offset {_HEADER.size + payload_len}: "
             f"stored 0x{stored_crc:08x}, computed 0x{actual_crc:08x}"
         )
-    values = np.frombuffer(payload, dtype=_DTYPES[code]).astype(np.float64)
+    values = values.astype(np.float64, copy=False)  # widens binary32 only
     try:
         return values.reshape(rows, cols)
     except ValueError as exc:  # a zero-size shape too large for numpy, e.g. 0 x 2**62

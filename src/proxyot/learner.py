@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericError, UsageError
-from .numerics import as_matrix, l2_normalize_rows, log_softmax_rows
+from .numerics import _BLOCK_ROWS, as_matrix, l2_normalize_rows, log_softmax_rows
 from .retrieval import TextProxies
 from .solvers import PseudoLabels
 
@@ -46,6 +46,12 @@ class ProxyWeights:
 
 @dataclass(frozen=True)
 class LearnConfig:
+    """Proxy-learning settings.
+
+    Learning stops once an epoch changes the loss, up or down, by less than
+    ``loss_tolerance``, or after ``max_epochs`` epochs.
+    """
+
     # momentum 0.5: 0.9 overshoots at tau 0.01 and breaks monotone descent
     tau_learn: float = 0.01
     learning_rate: float = 0.02
@@ -134,7 +140,7 @@ def learn(
 ) -> tuple[ProxyWeights, LearnTrace]:
     """Full-batch momentum descent from the text proxies.
 
-    Stops when the epoch-over-epoch loss decrease falls below
+    Stops when the epoch-over-epoch loss change, up or down, falls below
     ``cfg.loss_tolerance`` (reason "converged") or after ``cfg.max_epochs``
     steps. Weight rows are re-normalized after every step.
     """
@@ -162,7 +168,7 @@ def learn(
         if not np.isfinite(current):
             raise NumericError(f"loss became {current!r} at epoch {epoch} ({settings})")
         losses.append(current)
-        if losses[-2] - losses[-1] < cfg.loss_tolerance:
+        if abs(losses[-2] - losses[-1]) < cfg.loss_tolerance:
             stop_reason = "converged"
             break
     return ProxyWeights(w), LearnTrace(losses, len(losses) - 1, stop_reason)
@@ -175,4 +181,12 @@ def classify(images, w: ProxyWeights) -> np.ndarray:
         raise UsageError(
             f"images have dim {x.shape[1]} but proxies have dim {w.w.shape[1]}"
         )
-    return np.argmax(x @ w.w.T, axis=1)
+    labels = np.empty(len(x), dtype=np.intp)
+    start = 0
+    while start < len(x):  # the logits of one block of rows at a time
+        # the last block takes the remainder: BLAS rounds a product of a few
+        # rows differently from the same rows inside a longer product
+        stop = start + _BLOCK_ROWS if len(x) - start >= 2 * _BLOCK_ROWS else len(x)
+        labels[start:stop] = np.argmax(x[start:stop] @ w.w.T, axis=1)
+        start = stop
+    return labels

@@ -23,14 +23,23 @@ __all__ = [
 ]
 
 
+# Rows per block of the whole-matrix passes: their temporaries are one block,
+# not a second matrix.
+_BLOCK_ROWS = 8192
+
+
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
     """Coerce to a 2-D float64 array, rejecting non-finite entries."""
     out = np.asarray(m, dtype=np.float64)
     if out.ndim != 2:
         raise UsageError(f"{name} must be 2-D, got {out.ndim}-D")
-    if not np.all(np.isfinite(out)):
-        i, j = np.argwhere(~np.isfinite(out))[0]
-        raise DataError(f"{name} has non-finite entry at ({i}, {j}): {out[i, j]!r}")
+    for start in range(0, len(out), _BLOCK_ROWS):
+        block = out[start : start + _BLOCK_ROWS]
+        if not np.all(np.isfinite(block)):
+            i, j = np.argwhere(~np.isfinite(block))[0]
+            raise DataError(
+                f"{name} has non-finite entry at ({start + i}, {j}): {block[i, j]!r}"
+            )
     return out
 
 
@@ -93,27 +102,35 @@ def log_softmax_rows(m: np.ndarray, tau: float) -> np.ndarray:
 _MIN_PLAIN_NORM = float(np.sqrt(np.finfo(np.float64).tiny))
 
 
-def l2_normalize_rows(m) -> np.ndarray:
+def l2_normalize_rows(m, copy: bool = True) -> np.ndarray:
     """Scale each row to unit Euclidean norm; an all-zero row is a data error.
 
     The plain norm squares the entries, so it overflows for entries above
     ~1e154 and loses digits below ~1e-154. Only such rows are first divided
     by their largest magnitude; every other row is divided by its plain norm.
+
+    With ``copy=False`` a float64 array is normalized in place and returned
+    (other input is converted first); if that raises, rows before the
+    offending one may already be normalized.
     """
     mat = as_matrix(m, "l2_normalize input")
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(mat, axis=1)
-    odd = np.flatnonzero((norms < _MIN_PLAIN_NORM) | np.isinf(norms))
-    if odd.size == 0:
-        return mat / norms[:, None]
-    top = np.abs(mat[odd]).max(axis=1)
-    zero = odd[top == 0.0]
-    if zero.size:
-        raise DataError(f"cannot normalize all-zero row {zero[0]}")
-    rows = mat[odd] / top[:, None]
-    norms[odd] = 1.0  # their rows are replaced below
-    out = mat / norms[:, None]
-    out[odd] = rows / np.linalg.norm(rows, axis=1)[:, None]
+    out = np.empty_like(mat) if copy else mat
+    for start in range(0, len(mat), _BLOCK_ROWS):
+        block = mat[start : start + _BLOCK_ROWS]
+        dst = out[start : start + _BLOCK_ROWS]
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(block, axis=1)
+        odd = np.flatnonzero((norms < _MIN_PLAIN_NORM) | np.isinf(norms))
+        norms[odd] = 1.0  # these rows come through unchanged and are rescaled below
+        np.divide(block, norms[:, None], out=dst)
+        if odd.size:
+            rows = dst[odd]
+            top = np.abs(rows).max(axis=1)
+            zero = odd[top == 0.0]
+            if zero.size:
+                raise DataError(f"cannot normalize all-zero row {start + zero[0]}")
+            rows /= top[:, None]
+            dst[odd] = rows / np.linalg.norm(rows, axis=1)[:, None]
     return out
 
 

@@ -160,8 +160,8 @@ def load(spec: RunSpec) -> Inputs:
             f"{spec.images}: image rows have dim {images.shape[1]} but "
             f"{spec.kb} declares dim {kb.dim}"
         )
-    # rebinding frees the raw rows: never hold two copies of the images
-    images = l2_normalize_rows(images)
+    # in place: the images are held once from file to prediction
+    images = l2_normalize_rows(images, copy=False)
     if spec.marginal is None:
         q = ClassMarginal.uniform(kb.n_classes)
     else:

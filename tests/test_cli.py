@@ -437,6 +437,13 @@ class TestCapWarnings:
         assert main(self._args(cli_fixture, tmp_path, command, extra)) == 0
         assert capsys.readouterr().err == ""
 
+    def test_rising_loss_runs_to_the_cap(self, cli_fixture, tmp_path, capsys):
+        """At --lr 5 the first step overshoots and the loss rises; that is no stop."""
+        assert main(self._args(cli_fixture, tmp_path, "learn", ["--lr", "5"])) == 0
+        captured = capsys.readouterr()
+        assert "500 epochs (max_epochs," in captured.out
+        assert captured.err.splitlines() == ["warning: learning stopped at its cap of 500 epochs"]
+
     def test_linear_stop_on_its_tolerance_reports_converged(self, tmp_path, capsys):
         """On this instance sinkhorn_linear stops at sweep 77 on a tolerance that
         lies between the row violation of its plan p and that of exp(log(p)).

@@ -1,8 +1,15 @@
 import csv
 import json
+import os
+import struct
+import threading
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxyot import io as pio
 from proxyot.errors import DataError, UsageError
@@ -380,3 +387,140 @@ class TestReportWriting:
         assert rows == [["index", "predicted_class_name"]] + [
             [str(i), name] for i, name in enumerate(names)
         ]
+
+
+def read_embeddings_reference(path):
+    """Whole-file EMB1 reader: the file's bytes, a sliced payload and a float64 copy.
+
+    Kept frozen for :func:`pio.read_embeddings`, which reads into one array
+    and must return the same matrix, or raise the same message, for any file.
+    """
+    header = struct.Struct("<4sHBQQ")
+    dtypes = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+    blob = Path(path).read_bytes()
+    if len(blob) < header.size:
+        raise DataError(
+            f"{path}: truncated header, file ends at byte {len(blob)} "
+            f"but the header needs {header.size}"
+        )
+    magic, version, code, rows, cols = header.unpack_from(blob, 0)
+    if magic != b"EMB1":
+        raise DataError(f"{path}: bad magic {magic!r} at byte offset 0")
+    if version != 1:
+        raise DataError(f"{path}: unsupported version {version} at byte offset 4")
+    if code not in dtypes:
+        raise DataError(f"{path}: unknown dtype code {code} at byte offset 6")
+    item = dtypes[code].itemsize
+    payload_len = rows * cols * item
+    expected = header.size + payload_len + 4
+    if len(blob) != expected:
+        raise DataError(
+            f"{path}: truncated or oversized file, ends at byte {len(blob)} "
+            f"but {rows}x{cols} {item * 8}-bit payload plus CRC needs {expected}"
+        )
+    payload = blob[header.size : header.size + payload_len]
+    (stored_crc,) = struct.unpack_from("<I", blob, header.size + payload_len)
+    actual_crc = zlib.crc32(payload)
+    if stored_crc != actual_crc:
+        raise DataError(
+            f"{path}: CRC-32 mismatch at byte offset {header.size + payload_len}: "
+            f"stored 0x{stored_crc:08x}, computed 0x{actual_crc:08x}"
+        )
+    values = np.frombuffer(payload, dtype=dtypes[code]).astype(np.float64)
+    try:
+        return values.reshape(rows, cols)
+    except ValueError as exc:
+        raise DataError(f"{path}: cannot shape {rows}x{cols}: {exc}") from exc
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except DataError as exc:
+        return str(exc)
+
+
+def _emb1_bytes(matrix, code):
+    payload = matrix.astype("<f4" if code == 0 else "<f8").tobytes()
+    header = struct.pack("<4sHBQQ", b"EMB1", 1, code, *matrix.shape)
+    return header + payload + struct.pack("<I", zlib.crc32(payload))
+
+
+@st.composite
+def emb1_files(draw):
+    """EMB1 files around the row-block boundaries, intact or with one fault."""
+    rows = draw(st.sampled_from([0, 1, 8191, 8192, 8193, 20000]))
+    cols = draw(st.integers(1, 3))
+    code = draw(st.sampled_from([0, 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blob = bytearray(_emb1_bytes(rng.standard_normal((rows, cols)), code))
+    fault = draw(st.sampled_from(["intact", "overwrite", "truncate", "extend", "shape"]))
+    if fault == "overwrite":
+        blob[draw(st.integers(0, len(blob) - 1))] = draw(st.integers(0, 255))
+    elif fault == "truncate":
+        del blob[draw(st.integers(0, len(blob) - 1)) :]
+    elif fault == "extend":
+        blob += draw(st.binary(min_size=1, max_size=9))
+    elif fault == "shape":
+        field = draw(st.sampled_from([slice(7, 15), slice(15, 23)]))
+        value = draw(st.sampled_from([0, 1, rows + 1, 2**60, 2**62, 2**64 - 1]))
+        blob[field] = value.to_bytes(8, "little")
+        if draw(st.booleans()):  # an empty payload, so only the shape is wrong
+            blob = blob[:23] + struct.pack("<I", zlib.crc32(b""))
+    return bytes(blob)
+
+
+@pytest.fixture(scope="module")
+def emb_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("emb1")
+
+
+class TestReadMatchesReference:
+    """Reading into one preallocated array returns what the whole-file read did."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(blob=emb1_files())
+    def test_any_file(self, emb_dir, blob):
+        path = emb_dir / "x.emb"
+        path.write_bytes(blob)
+        got = _outcome(pio.read_embeddings, path)
+        want = _outcome(read_embeddings_reference, path)
+        if isinstance(got, str) or isinstance(want, str):
+            assert got == want
+        else:
+            assert got.dtype == want.dtype == np.float64
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("code", [0, 1])
+    @pytest.mark.parametrize("shape", [(0, 2**60), (2**60, 0), (2**64 - 1, 0)])
+    def test_empty_payload_with_absurd_shape(self, emb_dir, code, shape):
+        path = emb_dir / "absurd.emb"
+        path.write_bytes(_emb1_bytes(np.zeros((0, 1)), code)[:7] + struct.pack("<QQ", *shape)
+                         + struct.pack("<I", zlib.crc32(b"")))
+        got = _outcome(pio.read_embeddings, path)
+        assert "cannot shape" in got
+        assert got == _outcome(read_embeddings_reference, path)
+
+    @pytest.mark.parametrize("cut", [None, 10, 23, 1000])
+    def test_fifo_reads_like_the_file(self, tmp_path, cut):
+        path = tmp_path / "m.emb"
+        pio.write_embeddings(np.random.default_rng(4).standard_normal((9000, 3)), path)
+        blob = path.read_bytes()[:cut]
+        path.write_bytes(blob)
+        fifo = tmp_path / "m.fifo"
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "wb") as fh:
+                fh.write(blob)
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        got = _outcome(pio.read_embeddings, fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        want = _outcome(pio.read_embeddings, path)
+        if cut is None:
+            assert np.array_equal(got, want)
+        else:
+            assert got == want.replace(str(path), str(fifo))

@@ -16,7 +16,7 @@ from proxyot.learner import (
     learn,
     loss,
 )
-from proxyot.numerics import l2_normalize_rows, log_softmax_rows, softmax_rows
+from proxyot.numerics import as_matrix, l2_normalize_rows, log_softmax_rows, softmax_rows
 from proxyot.retrieval import TextProxies
 from proxyot.solvers import PseudoLabels
 
@@ -228,7 +228,7 @@ def learn_reference(images, labels, init, cfg):
             raise NumericError(f"loss became {current!r} at epoch {epoch} ({settings})")
         losses.append(current)
         epochs_run = epoch
-        if losses[-2] - losses[-1] < cfg.loss_tolerance:
+        if abs(losses[-2] - losses[-1]) < cfg.loss_tolerance:
             stop_reason = "converged"
             break
     return ProxyWeights(w), LearnTrace(losses, epochs_run, stop_reason)
@@ -355,7 +355,66 @@ class TestLearnMatchesReference:
         assert sum(calls) == 1
 
 
+class TestStopRule:
+    @settings(max_examples=60, deadline=None)
+    @given(learn_instances())
+    def test_converged_means_the_last_change_is_below_tolerance(self, instance):
+        """A rising loss is a change like a falling one: it is no reason to stop."""
+        cfg = instance[3]
+        try:
+            _, trace = learn(*instance)
+        except NumericError:
+            return
+        changes = np.abs(np.diff(trace.losses))
+        assert np.all(changes[:-1] >= cfg.loss_tolerance)
+        if trace.stop_reason == "converged":
+            assert changes[-1] < cfg.loss_tolerance
+        else:
+            assert changes[-1] >= cfg.loss_tolerance
+            assert trace.epochs_run == cfg.max_epochs
+
+    def test_overshooting_step_does_not_converge(self):
+        instance = _learn_instance(42, n=60, k=6, d=8, one_hot=False, learning_rate=5.0,
+                                   max_epochs=40)
+        _, trace = learn(*instance)
+        assert trace.losses[1] > trace.losses[0]
+        assert trace.stop_reason == "max_epochs"
+
+
+def classify_reference(images, w):
+    """Whole-matrix classify: the argmax of one N x K logits matrix.
+
+    Kept frozen for :func:`classify`, which takes the argmax block by block
+    and must give the same labels.
+    """
+    x = as_matrix(images, "image embeddings")
+    return np.argmax(x @ w.w.T, axis=1)
+
+
+@st.composite
+def classify_instances(draw):
+    """Images around the row-block edges; proxies may repeat, images may equal a proxy."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([0, 1, 8191, 8192, 8193, 16384, 16385, 20000, 24577]))
+    k, d = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    w = unit_rows(rng, (k, d))
+    if k > 1 and draw(st.booleans()):  # exact ties between two classes
+        w[draw(st.integers(1, k - 1))] = w[0]
+    images = unit_rows(rng, (n, d)) if n else np.zeros((0, d))
+    if n and draw(st.booleans()):  # images that sit on a proxy
+        picks = rng.integers(n, size=min(n, 50))
+        images[picks] = w[rng.integers(k, size=picks.size)]
+    return images, ProxyWeights(w)
+
+
 class TestClassify:
+    @settings(max_examples=40, deadline=None)
+    @given(classify_instances())
+    def test_blocks_match_the_whole_matrix(self, instance):
+        got, want = classify(*instance), classify_reference(*instance)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
     def test_image_equal_to_proxy_row_wins(self):
         w = ProxyWeights(np.eye(4)[:3])
         images = np.eye(4)[2][None, :]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from proxyot.errors import DataError, UsageError
 from proxyot.numerics import (
+    as_matrix,
     cosine,
     kl_rows,
     l2_normalize_rows,
@@ -173,6 +174,129 @@ class TestL2NormalizeRows:
         rng = np.random.default_rng(0)
         out = l2_normalize_rows(rng.uniform(0.1, 9.0, size=(30, 5)))
         np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
+
+
+def l2_normalize_rows_reference(m):
+    """Whole-matrix normalize: a full finiteness scan, then norms and a new output.
+
+    Kept frozen for :func:`l2_normalize_rows`, which works in row blocks and
+    must return the same matrix, or raise the same message, for any input.
+    """
+    mat = np.asarray(m, dtype=np.float64)
+    if not np.all(np.isfinite(mat)):
+        i, j = np.argwhere(~np.isfinite(mat))[0]
+        raise DataError(
+            f"l2_normalize input has non-finite entry at ({i}, {j}): {mat[i, j]!r}"
+        )
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(mat, axis=1)
+    odd = np.flatnonzero((norms < np.sqrt(np.finfo(np.float64).tiny)) | np.isinf(norms))
+    if odd.size == 0:
+        return mat / norms[:, None]
+    top = np.abs(mat[odd]).max(axis=1)
+    zero = odd[top == 0.0]
+    if zero.size:
+        raise DataError(f"cannot normalize all-zero row {zero[0]}")
+    rows = mat[odd] / top[:, None]
+    norms[odd] = 1.0
+    out = mat / norms[:, None]
+    out[odd] = rows / np.linalg.norm(rows, axis=1)[:, None]
+    return out
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except DataError as exc:
+        return str(exc)
+
+
+# the row-block boundaries of the whole-matrix passes lie at multiples of 8192
+BLOCK_EDGE_ROWS = [0, 1, 8191, 8192, 8193, 20000]
+SPECIAL_ROWS = {
+    "huge": lambda row: row * 1e200,
+    "tiny": lambda row: row * 1e-200,
+    "zero": lambda row: row * 0.0,
+    "nan": lambda row: np.where(np.arange(row.size) == row.size - 1, np.nan, row),
+    "inf": lambda row: np.where(np.arange(row.size) == 0, -np.inf, row),
+}
+
+
+@st.composite
+def block_matrices(draw):
+    """Gaussian rows around the block edges, some made huge, tiny, zero or non-finite."""
+    n = draw(st.sampled_from(BLOCK_EDGE_ROWS))
+    d = draw(st.integers(1, 4))
+    base = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((n, d))
+    m = base.copy()
+    if n:
+        specials = st.tuples(st.integers(0, n - 1), st.sampled_from(sorted(SPECIAL_ROWS)))
+        for i, kind in draw(st.lists(specials, max_size=4)):
+            m[i] = SPECIAL_ROWS[kind](base[i])
+    return m
+
+
+def _assert_same(got, want):
+    if isinstance(got, str) or isinstance(want, str):
+        assert got == want
+    else:
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+class TestL2NormalizeMatchesReference:
+    """Row blocks and the in-place form give the whole-matrix results bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(block_matrices())
+    def test_random_matrices(self, m):
+        want = _outcome(l2_normalize_rows_reference, m)
+        before = m.copy()
+        _assert_same(_outcome(l2_normalize_rows, m), want)
+        assert np.array_equal(m, before, equal_nan=True)  # copy=True leaves it alone
+        _assert_same(_outcome(l2_normalize_rows, m, copy=False), want)
+
+    @pytest.mark.parametrize(
+        "kinds, message",
+        [
+            ({9000: "zero", 17000: "zero"}, "cannot normalize all-zero row 9000"),
+            ({8191: "zero", 15000: "nan"}, "non-finite entry at (15000, 2)"),
+            ({100: "huge", 8192: "tiny", 19999: "zero"}, "all-zero row 19999"),
+            ({8191: "huge", 8192: "tiny", 8193: "huge"}, None),
+        ],
+        ids=["zero-rows-in-two-blocks", "non-finite-after-zero", "odd-rows-then-zero",
+             "odd-rows-across-an-edge"],
+    )
+    def test_named_blocks(self, kinds, message):
+        m = np.random.default_rng(9).standard_normal((20000, 3))
+        for i, kind in kinds.items():
+            m[i] = SPECIAL_ROWS[kind](m[i])
+        want = _outcome(l2_normalize_rows_reference, m)
+        if message is not None:
+            assert message in want
+        _assert_same(_outcome(l2_normalize_rows, m), want)
+        _assert_same(_outcome(l2_normalize_rows, m.copy(), copy=False), want)
+
+    def test_in_place_returns_its_input(self):
+        m = np.random.default_rng(2).standard_normal((10000, 5))
+        want = l2_normalize_rows(m)
+        out = l2_normalize_rows(m, copy=False)
+        assert out is m
+        assert np.array_equal(out, want)
+
+    def test_in_place_converts_other_input_first(self):
+        rows = [[3.0, 4.0], [0.0, 2.0]]
+        out = l2_normalize_rows(rows, copy=False)
+        assert out.dtype == np.float64
+        np.testing.assert_allclose(out, [[0.6, 0.8], [0.0, 1.0]], atol=1e-15)
+
+    @pytest.mark.parametrize("row", [0, 8191, 8192, 19999])
+    def test_as_matrix_names_the_global_index(self, row):
+        m = np.ones((20000, 2))
+        m[row, 1] = np.inf
+        with pytest.raises(DataError) as err:
+            as_matrix(m, "images")
+        assert str(err.value) == f"images has non-finite entry at ({row}, 1): np.float64(inf)"
 
 
 class TestCosine:
