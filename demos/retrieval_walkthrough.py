@@ -82,7 +82,7 @@ for j, rec in enumerate(kb.classes):
 
 selection = retrieve(images, kb, k=2)
 proxies = build_text_proxies(kb, selection)
-print("\ntop-2 retrieved proxies (provenance:", proxies.provenance + ")")
+print("\ntop-2 retrieved proxies:")
 print(np.round(proxies.w, 3))
 
 all_mean = description_proxies(kb)

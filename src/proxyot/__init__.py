@@ -37,7 +37,6 @@ from .retrieval import (
     ClassRecord,
     KnowledgeBase,
     RetrievalResult,
-    TextProxies,
     build_text_proxies,
     description_proxies,
     mean_image_feature,
@@ -88,7 +87,6 @@ __all__ = [
     "ClassRecord",
     "KnowledgeBase",
     "RetrievalResult",
-    "TextProxies",
     "mean_image_feature",
     "score_descriptions",
     "top_k",

@@ -216,18 +216,7 @@ def _cmd_bench_ot(args) -> int:
 
 
 def _cmd_gen_fixture(args) -> int:
-    spec = FixtureSpec(
-        n_images=args.n,
-        n_classes=args.classes,
-        dim=args.dim,
-        separation=args.separation,
-        angle_deg=args.angle,
-        offset=args.offset,
-        noise=args.noise,
-        descriptions_per_class=args.descriptions,
-        name_noise=args.name_noise,
-    )
-    fixture = generate_fixture(args.seed, spec)
+    fixture = generate_fixture(args.seed, FixtureSpec(**_flags(args, FixtureSpec)))
     manifest = write_fixture(fixture, args.out)
     print(f"fixture written to {args.out} (manifest: {json.dumps(manifest['files'])})")
     return 0
@@ -290,18 +279,26 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gen-fixture", help="generate a synthetic modality-gap fixture")
     p.add_argument("--seed", type=int, required=True, help="64-bit generation seed")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--n", type=int, default=300, help="number of images")
-    p.add_argument("--classes", type=int, default=5, help="number of classes")
-    p.add_argument("--dim", type=int, default=32, help="embedding dimension")
-    p.add_argument("--separation", type=float, default=3.5, help="cluster separation")
-    p.add_argument("--angle", type=float, default=25.0, help="modality-gap rotation, degrees")
-    p.add_argument("--offset", type=float, default=0.3, help="modality-gap offset magnitude")
-    p.add_argument("--noise", type=float, default=0.05, help="description embedding noise")
-    p.add_argument("--descriptions", type=int, default=20, help="descriptions per class")
+    # defaults come from FixtureSpec; dest is its field name, metavar the flag's
+    p.add_argument("--n", dest="n_images", metavar="N", type=int, help="number of images")
+    p.add_argument(
+        "--classes", dest="n_classes", metavar="CLASSES", type=int, help="number of classes"
+    )
+    p.add_argument("--dim", type=int, help="embedding dimension")
+    p.add_argument("--separation", type=float, help="cluster separation")
+    p.add_argument(
+        "--angle", dest="angle_deg", metavar="ANGLE", type=float,
+        help="modality-gap rotation, degrees",
+    )
+    p.add_argument("--offset", type=float, help="modality-gap offset magnitude")
+    p.add_argument("--noise", type=float, help="description embedding noise")
+    p.add_argument(
+        "--descriptions", dest="descriptions_per_class", metavar="DESCRIPTIONS", type=int,
+        help="descriptions per class",
+    )
     p.add_argument(
         "--name-noise",
         type=float,
-        default=None,
         help=f"name embedding noise (default: {NAME_NOISE_FACTOR:g} x description noise)",
     )
     p.set_defaults(handler=_cmd_gen_fixture)

@@ -14,15 +14,14 @@ fixture files.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import UsageError
-from .io import write_embeddings
+from .io import write_embeddings, write_report
 from .numerics import l2_normalize_rows
 
 __all__ = ["FixtureSpec", "Fixture", "generate_fixture", "write_fixture"]
@@ -53,13 +52,13 @@ class FixtureSpec:
             raise UsageError(
                 f"dim {self.dim} cannot hold {self.n_classes} orthonormal class directions"
             )
-        if self.separation <= 0:
+        if not self.separation > 0:
             raise UsageError(f"separation must be positive, got {self.separation}")
-        if self.noise < 0 or self.offset < 0 or self.angle_deg < 0:
+        if not (self.noise >= 0 and self.offset >= 0 and self.angle_deg >= 0):
             raise UsageError("angle, offset and noise must be nonnegative")
         if self.descriptions_per_class < 1:
             raise UsageError("each class needs at least one description")
-        if self.name_noise is not None and self.name_noise < 0:
+        if self.name_noise is not None and not self.name_noise >= 0:
             raise UsageError(f"name_noise must be nonnegative, got {self.name_noise}")
 
     @property
@@ -143,14 +142,7 @@ def generate_fixture(seed: int, spec: FixtureSpec) -> Fixture:
 
     manifest = {
         "seed": int(seed),
-        "n_images": n,
-        "n_classes": k,
-        "dim": d,
-        "separation": spec.separation,
-        "angle_deg": spec.angle_deg,
-        "offset": spec.offset,
-        "noise": spec.noise,
-        "descriptions_per_class": spec.descriptions_per_class,
+        **asdict(spec),
         "name_noise": spec.resolved_name_noise,
         "class_counts": counts.tolist(),
         "files": {
@@ -191,8 +183,6 @@ def write_fixture(fixture: Fixture, out_dir) -> dict:
             for j in range(len(fixture.class_names))
         ],
     }
-    (out / "kb.json").write_text(json.dumps(kb_doc, indent=2) + "\n", encoding="utf-8")
-    (out / "manifest.json").write_text(
-        json.dumps(fixture.manifest, indent=2) + "\n", encoding="utf-8"
-    )
+    write_report(kb_doc, out / "kb.json")
+    write_report(fixture.manifest, out / "manifest.json")
     return fixture.manifest

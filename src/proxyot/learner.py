@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import DataError, NumericError, UsageError
 from .numerics import _BLOCK_ROWS, as_matrix, l2_normalize_rows, log_softmax_rows
-from .retrieval import TextProxies
 from .solvers import PseudoLabels
 
 __all__ = [
@@ -31,7 +30,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProxyWeights:
-    """K x d learned proxy matrix with unit-norm rows."""
+    """K x d proxy matrix with unit-norm rows: the text proxies and the learned ones."""
 
     w: np.ndarray
 
@@ -40,7 +39,7 @@ class ProxyWeights:
         norms = np.linalg.norm(w, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-9):
             row = int(np.flatnonzero(np.abs(norms - 1.0) > 1e-9)[0])
-            raise UsageError(f"proxy row {row} has norm {norms[row]!r}, expected 1")
+            raise UsageError(f"proxy row {row} has norm {float(norms[row])}, expected 1")
         object.__setattr__(self, "w", w)
 
 
@@ -60,15 +59,15 @@ class LearnConfig:
     loss_tolerance: float = 1e-7
 
     def __post_init__(self):
-        if self.tau_learn <= 0:
+        if not self.tau_learn > 0:
             raise UsageError(f"tau_learn must be positive, got {self.tau_learn}")
-        if self.learning_rate < 0:
+        if not self.learning_rate >= 0:
             raise UsageError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if not 0 <= self.momentum < 1:
             raise UsageError(f"momentum must lie in [0, 1), got {self.momentum}")
         if self.max_epochs < 1:
             raise UsageError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.loss_tolerance < 0:
+        if not self.loss_tolerance >= 0:
             raise UsageError(f"loss_tolerance must be >= 0, got {self.loss_tolerance}")
 
 
@@ -135,7 +134,7 @@ def gradient(w: ProxyWeights, images, labels: PseudoLabels, tau: float) -> np.nd
 def learn(
     images,
     labels: PseudoLabels,
-    init: TextProxies,
+    init: ProxyWeights,
     cfg: LearnConfig,
 ) -> tuple[ProxyWeights, LearnTrace]:
     """Full-batch momentum descent from the text proxies.

@@ -38,7 +38,7 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
         if not np.all(np.isfinite(block)):
             i, j = np.argwhere(~np.isfinite(block))[0]
             raise DataError(
-                f"{name} has non-finite entry at ({start + i}, {j}): {block[i, j]!r}"
+                f"{name} has non-finite entry at ({start + i}, {j}): {float(block[i, j])}"
             )
     return out
 

@@ -27,7 +27,6 @@ from .numerics import l2_normalize_rows
 from .retrieval import (
     KnowledgeBase,
     RetrievalResult,
-    TextProxies,
     build_text_proxies,
     description_proxies,
     name_proxies,
@@ -124,12 +123,7 @@ def _resolved_config(spec: RunSpec) -> dict:
         "k": spec.k,
         "normalize_images": True,
         "seed": spec.seed,
-        "solver": {
-            "algorithm": spec.solver.algorithm,
-            "tau_ot": spec.solver.tau_ot,
-            "max_iterations": spec.solver.max_iterations,
-            "tolerance": spec.solver.tolerance,
-        },
+        "solver": {"algorithm": spec.solver.algorithm, **asdict(spec.solver)},
         "learn": asdict(spec.learn),
     }
 
@@ -160,8 +154,10 @@ def load(spec: RunSpec) -> Inputs:
             f"{spec.images}: image rows have dim {images.shape[1]} but "
             f"{spec.kb} declares dim {kb.dim}"
         )
-    # in place: the images are held once from file to prediction
-    images = l2_normalize_rows(images, copy=False)
+    try:  # in place: the images are held once from file to prediction
+        images = l2_normalize_rows(images, copy=False)
+    except DataError as exc:
+        raise DataError(f"{spec.images}: {exc}") from None
     if spec.marginal is None:
         q = ClassMarginal.uniform(kb.n_classes)
     else:
@@ -181,14 +177,14 @@ def load(spec: RunSpec) -> Inputs:
     return Inputs(images=images, kb=kb, marginal=q, gold=gold)
 
 
-def text_stage(inputs: Inputs, k: int) -> tuple[RetrievalResult, TextProxies]:
+def text_stage(inputs: Inputs, k: int) -> tuple[RetrievalResult, ProxyWeights]:
     """Text Proxy Optimization: retrieve top-k descriptions, average them into proxies."""
     selection = retrieve(inputs.images, inputs.kb, k)
     return selection, build_text_proxies(inputs.kb, selection)
 
 
 def transport_stage(
-    inputs: Inputs, proxies: TextProxies, cfg: SolverConfig
+    inputs: Inputs, proxies: ProxyWeights, cfg: SolverConfig
 ) -> tuple[TransportPlan, PseudoLabels]:
     """Solve transport over the image/proxy similarities and read pseudo-labels off it."""
     plan = solve(inputs.images @ proxies.w.T, cfg, inputs.marginal)
@@ -233,14 +229,11 @@ def run(spec: RunSpec) -> RunReport:
     solver_diag = None
     learned = None
     if spec.mode == "clip_baseline":
-        proxies = name_proxies(kb.name_embedding_matrix())
-        weights = ProxyWeights(proxies.w)
+        weights = name_proxies(kb.name_embedding_matrix())
     elif spec.mode == "description_baseline":
-        proxies = description_proxies(kb)
-        weights = ProxyWeights(proxies.w)
+        weights = description_proxies(kb)
     elif spec.mode == "kpl_text":
-        _, proxies = text_stage(inputs, spec.k)
-        weights = ProxyWeights(proxies.w)
+        _, weights = text_stage(inputs, spec.k)
     else:  # kpl_full
         plan, weights, trace = learn_stage(inputs, spec)
         solver_diag = solver_diagnostics(plan, spec.solver)

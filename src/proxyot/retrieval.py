@@ -13,13 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, UsageError
+from .learner import ProxyWeights
 from .numerics import as_matrix, as_vector, l2_normalize_rows
 
 __all__ = [
     "ClassRecord",
     "KnowledgeBase",
     "RetrievalResult",
-    "TextProxies",
     "mean_image_feature",
     "score_descriptions",
     "top_k",
@@ -28,8 +28,6 @@ __all__ = [
     "description_proxies",
     "name_proxies",
 ]
-
-PROVENANCES = ("class_names", "description_mean", "retrieved_mean")
 
 
 @dataclass(frozen=True)
@@ -104,13 +102,21 @@ class KnowledgeBase:
         return len(self.classes)
 
     def name_embedding_matrix(self) -> np.ndarray:
-        """Stack per-class name embeddings; error if any class lacks one."""
+        """Stack per-class name embeddings; a missing or non-unit one is a data error."""
         missing = [rec.name for rec in self.classes if rec.name_embedding is None]
         if missing:
             raise DataError(
                 f"knowledge base has no name embeddings for: {', '.join(missing)}"
             )
-        return np.stack([rec.name_embedding for rec in self.classes])
+        mat = np.stack([rec.name_embedding for rec in self.classes])
+        norms = np.linalg.norm(mat, axis=1)
+        bad = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-9))  # NaN norms fail too
+        if bad.size:
+            raise DataError(
+                f"class {self.classes[bad[0]].name!r}: name embedding has norm "
+                f"{float(norms[bad[0]])}, expected 1"
+            )
+        return mat
 
 
 @dataclass(frozen=True)
@@ -135,24 +141,6 @@ class RetrievalResult:
                 raise UsageError(f"class {j}: selected indices are not distinct")
             if np.any(np.diff(s) > 0):
                 raise UsageError(f"class {j}: scores are not sorted non-increasing")
-
-
-@dataclass(frozen=True)
-class TextProxies:
-    """K x d unit-row proxy matrix plus how it was built."""
-
-    w: np.ndarray
-    provenance: str
-
-    def __post_init__(self):
-        w = as_matrix(self.w, "text proxies")
-        if self.provenance not in PROVENANCES:
-            raise UsageError(f"unknown proxy provenance {self.provenance!r}")
-        norms = np.linalg.norm(w, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
-            row = int(np.flatnonzero(np.abs(norms - 1.0) > 1e-9)[0])
-            raise DataError(f"proxy row {row} has norm {norms[row]!r}, expected 1")
-        object.__setattr__(self, "w", w)
 
 
 def mean_image_feature(images) -> np.ndarray:
@@ -203,7 +191,7 @@ def retrieve(images, kb: KnowledgeBase, k: int) -> RetrievalResult:
     return RetrievalResult(tuple(selected), tuple(score_lists), k)
 
 
-def build_text_proxies(kb: KnowledgeBase, selection: RetrievalResult) -> TextProxies:
+def build_text_proxies(kb: KnowledgeBase, selection: RetrievalResult) -> ProxyWeights:
     """Average each class's selected description embeddings into a unit proxy row."""
     if len(selection.selected) != kb.n_classes:
         raise UsageError(
@@ -214,18 +202,18 @@ def build_text_proxies(kb: KnowledgeBase, selection: RetrievalResult) -> TextPro
         rec.embeddings[idx].mean(axis=0)
         for rec, idx in zip(kb.classes, selection.selected)
     ]
-    return TextProxies(l2_normalize_rows(np.stack(rows)), "retrieved_mean")
+    return ProxyWeights(l2_normalize_rows(np.stack(rows)))
 
 
-def description_proxies(kb: KnowledgeBase) -> TextProxies:
+def description_proxies(kb: KnowledgeBase) -> ProxyWeights:
     """Average all descriptions per class (the no-retrieval baseline proxies)."""
     rows = [rec.embeddings.mean(axis=0) for rec in kb.classes]
-    return TextProxies(l2_normalize_rows(np.stack(rows)), "description_mean")
+    return ProxyWeights(l2_normalize_rows(np.stack(rows)))
 
 
-def name_proxies(names_emb) -> TextProxies:
+def name_proxies(names_emb) -> ProxyWeights:
     """Use class-name embeddings directly as proxies (the vanilla baseline)."""
     mat = as_matrix(names_emb, "name embeddings")
     if mat.shape[0] < 2:
         raise UsageError(f"need at least 2 class rows, got {mat.shape[0]}")
-    return TextProxies(mat, "class_names")
+    return ProxyWeights(mat)

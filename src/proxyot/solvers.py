@@ -66,7 +66,7 @@ class ClassMarginal:
     def __post_init__(self):
         q = _weights(self.q)
         if abs(float(q.sum()) - 1.0) > 1e-9:
-            raise DataError(f"class marginal sums to {q.sum()!r}, expected 1")
+            raise DataError(f"class marginal sums to {float(q.sum())}, expected 1")
         object.__setattr__(self, "q", q)
 
     @classmethod
@@ -96,11 +96,11 @@ class SolverConfig:
     algorithm: str = "stable_greenkhorn"
 
     def __post_init__(self):
-        if self.tau_ot <= 0:
+        if not self.tau_ot > 0:
             raise UsageError(f"tau_ot must be positive, got {self.tau_ot}")
         if self.max_iterations < 1:
             raise UsageError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.tolerance < 0:
+        if not self.tolerance >= 0:
             raise UsageError(f"tolerance must be >= 0, got {self.tolerance}")
         if self.algorithm not in ALGORITHMS:
             raise UsageError(
@@ -229,7 +229,7 @@ def _require_finite(p: np.ndarray, stage: str) -> None:
     if not np.all(np.isfinite(p)):
         i, j = np.argwhere(~np.isfinite(p))[0]
         raise NumericOverflowError(
-            f"linear-domain Sinkhorn produced {p[i, j]!r} at entry ({i}, {j}) "
+            f"linear-domain Sinkhorn produced {float(p[i, j])} at entry ({i}, {j}) "
             f"during {stage}; rerun with sinkhorn_log or stable_greenkhorn"
         )
 

@@ -249,6 +249,70 @@ class TestNumericEdges:
         assert rows[0]["status"] == "numeric_overflow"
 
 
+class TestBadSettingsAndData:
+    """NaN settings are usage errors; bad file data is one error line naming its source."""
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("plan", "--tau-ot"), ("plan", "--tolerance"),
+            ("learn", "--tau-learn"), ("learn", "--lr"),
+            ("gen-fixture", "--separation"), ("gen-fixture", "--angle"),
+            ("gen-fixture", "--offset"), ("gen-fixture", "--noise"),
+            ("gen-fixture", "--name-noise"),
+        ],
+    )
+    def test_nan_setting_is_usage_error(self, cli_fixture, tmp_path, capsys, command, flag):
+        if command == "gen-fixture":
+            args = ["gen-fixture", "--seed", "42"]
+        else:
+            args = [command, "--images", str(cli_fixture / "images.emb"),
+                    "--kb", str(cli_fixture / "kb.json"), "--max-iterations", "200"]
+        code = main([*args, flag, "nan", "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error:")
+        assert not (tmp_path / "out").exists()
+
+    def test_nan_image_entry_names_the_file(self, cli_fixture, tmp_path, capsys):
+        rows = pio.read_embeddings(cli_fixture / "images.emb")
+        rows[3, 4] = np.nan
+        images = tmp_path / "nan.emb"
+        pio.write_embeddings(rows, images)
+        code = main(
+            ["pipeline", "--mode", "kpl_text", "--images", str(images),
+             "--kb", str(cli_fixture / "kb.json"), "--out", str(tmp_path / "r.json")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"data error: {images}: ")
+        assert "(3, 4)" in err[0] and err[0].endswith(": nan")
+
+    @pytest.mark.parametrize(
+        "mode", ["clip_baseline", "description_baseline", "kpl_text", "kpl_full"]
+    )
+    def test_non_unit_name_embedding_fails_only_the_name_baseline(
+        self, cli_fixture, tmp_path, capsys, mode
+    ):
+        doc = json.loads((cli_fixture / "kb.json").read_text())
+        entry = doc["classes"][1]
+        entry["name_embedding"] = [2.0 * v for v in entry["name_embedding"]]
+        kb = tmp_path / "kb.json"
+        kb.write_text(json.dumps(doc))
+        code = main(
+            ["pipeline", "--mode", mode, "--images", str(cli_fixture / "images.emb"),
+             "--kb", str(kb), "--out", str(tmp_path / "r.json")]
+        )
+        err = capsys.readouterr().err.splitlines()
+        if mode != "clip_baseline":
+            assert code == 0
+            return
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("data error: class 'class_01': ")
+        norm = err[0].split("name embedding has norm ")[1].removesuffix(", expected 1")
+        assert float(norm) == pytest.approx(2.0)
+
+
 class TestPipelineCommand:
     def test_happy_path_writes_report_and_csv(self, cli_fixture, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -17,7 +17,6 @@ from proxyot.learner import (
     loss,
 )
 from proxyot.numerics import as_matrix, l2_normalize_rows, log_softmax_rows, softmax_rows
-from proxyot.retrieval import TextProxies
 from proxyot.solvers import PseudoLabels
 
 LN_E1_OVER_E = 0.31326168751822284  # ln((e+1)/e), 60-digit decimal arithmetic
@@ -42,7 +41,7 @@ def _cluster_problem(seed, k=3, d=16, per_class=40):
     gold = np.repeat(np.arange(k), per_class)
     images = 6.0 * centers[gold] + rng.standard_normal((k * per_class, d))
     images /= np.linalg.norm(images, axis=1, keepdims=True)
-    init = TextProxies(unit_rows(rng, (k, d)), "retrieved_mean")
+    init = ProxyWeights(unit_rows(rng, (k, d)))
     return images, gold, init
 
 
@@ -135,7 +134,7 @@ def _lse_rows(a):
 class TestLearn:
     def test_fixed_point_converges_immediately(self):
         images, w, _ = random_problem(42)
-        init = TextProxies(w.w, "retrieved_mean")
+        init = ProxyWeights(w.w)
         labels = softmax_labels(w.w, images, tau=0.01)
         weights, trace = learn(images, labels, init, LearnConfig())
         assert trace.stop_reason == "converged"
@@ -145,7 +144,7 @@ class TestLearn:
     def test_zero_learning_rate_is_identity(self):
         # Axis-aligned rows have exactly unit norm, so re-normalization is exact.
         images = unit_rows(np.random.default_rng(42), (6, 5))
-        init = TextProxies(np.eye(5)[:3], "retrieved_mean")
+        init = ProxyWeights(np.eye(5)[:3])
         labels = PseudoLabels(np.full((6, 3), 1.0 / 3.0))
         cfg = LearnConfig(learning_rate=0.0, momentum=0.0, max_epochs=25, loss_tolerance=0.0)
         weights, trace = learn(images, labels, init, cfg)
@@ -171,7 +170,7 @@ class TestLearn:
 
     def test_losses_start_at_initial_value(self):
         images, w, labels = random_problem(3)
-        init = TextProxies(w.w, "retrieved_mean")
+        init = ProxyWeights(w.w)
         before = loss(w, images, labels, tau=0.01)
         _, trace = learn(images, labels, init, LearnConfig(max_epochs=3, loss_tolerance=0.0))
         assert trace.losses[0] == pytest.approx(before, rel=1e-15)
@@ -257,7 +256,7 @@ def assert_same_learning(images, labels, init, cfg):
 def _learn_instance(seed, n, k, d, one_hot, **cfg):
     rng = np.random.default_rng(seed)
     images = unit_rows(rng, (n, d))
-    init = TextProxies(unit_rows(rng, (k, d)), "retrieved_mean")
+    init = ProxyWeights(unit_rows(rng, (k, d)))
     if one_hot:
         labels = PseudoLabels(np.eye(k)[rng.integers(k, size=n)])
     else:
@@ -321,7 +320,7 @@ class TestLearnMatchesReference:
         instance = (
             np.array([[1.0], [-1.0]]),
             PseudoLabels(np.eye(2)),
-            TextProxies(np.ones((2, 1)), "retrieved_mean"),
+            ProxyWeights(np.ones((2, 1))),
             LearnConfig(momentum=0.0, max_epochs=1, loss_tolerance=0.0),
         )
         assert_same_learning(*instance)
@@ -448,6 +447,9 @@ class TestLearnConfigValidation:
             {"momentum": -0.2},
             {"max_epochs": 0},
             {"loss_tolerance": -1.0},
+            {"tau_learn": float("nan")},
+            {"learning_rate": float("nan")},
+            {"loss_tolerance": float("nan")},
         ],
     )
     def test_invalid_rejected(self, kwargs):

@@ -4,6 +4,7 @@ import pytest
 from conftest import make_kb, unit_rows
 
 from proxyot.errors import DataError, UsageError
+from proxyot.learner import ProxyWeights
 from proxyot.retrieval import (
     ClassRecord,
     KnowledgeBase,
@@ -137,7 +138,7 @@ class TestProxies:
         )
         proxies = build_text_proxies(kb, selection)
         np.testing.assert_allclose(proxies.w[0], kb.classes[0].embeddings[1], atol=1e-12)
-        assert proxies.provenance == "retrieved_mean"
+        assert isinstance(proxies, ProxyWeights)
 
     def test_two_axis_rows_average_to_diagonal(self):
         kb = KnowledgeBase(
@@ -164,19 +165,35 @@ class TestProxies:
         all_k = build_text_proxies(kb, retrieve(images, kb, 6))
         baseline = description_proxies(kb)
         np.testing.assert_allclose(all_k.w, baseline.w, atol=1e-12)
-        assert baseline.provenance == "description_mean"
+        assert isinstance(baseline, ProxyWeights)
 
     def test_name_proxies_are_passthrough(self):
         rng = np.random.default_rng(42)
         names = unit_rows(rng, (3, 7))
         proxies = name_proxies(names)
         np.testing.assert_array_equal(proxies.w, names)
-        assert proxies.provenance == "class_names"
+        assert isinstance(proxies, ProxyWeights)
         np.testing.assert_allclose(np.linalg.norm(proxies.w, axis=1), 1.0, atol=1e-9)
 
     def test_name_proxies_need_two_classes(self):
         with pytest.raises(UsageError):
             name_proxies(np.array([[1.0, 0.0]]))
+
+    def test_name_proxies_reject_non_unit_rows(self):
+        with pytest.raises(UsageError, match="proxy row 1 has norm 2.0, expected 1"):
+            name_proxies(np.array([[1.0, 0.0], [0.0, 2.0]]))
+
+    @pytest.mark.parametrize("scale", [2.0, 1.0 + 1e-8, float("nan")])
+    def test_name_embedding_matrix_rejects_non_unit_rows(self, scale):
+        kb = make_kb(np.random.default_rng(42), with_names=True)
+        records = list(kb.classes)
+        records[1] = ClassRecord(
+            records[1].name, records[1].descriptions, records[1].embeddings,
+            records[1].name_embedding * scale,
+        )
+        kb = KnowledgeBase(tuple(records), kb.dim)
+        with pytest.raises(DataError, match="class 'class_01': name embedding has norm"):
+            kb.name_embedding_matrix()
 
 
 class TestRetrieve:

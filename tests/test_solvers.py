@@ -60,6 +60,10 @@ class TestClassMarginal:
         with pytest.raises(DataError):
             ClassMarginal(np.array([0.5, 0.4]))
 
+    def test_sum_message_shows_a_plain_number(self):
+        with pytest.raises(DataError, match=r"^class marginal sums to 0\.5, expected 1$"):
+            ClassMarginal(np.array([0.25, 0.25]))
+
 
 class TestSolverConfig:
     def test_defaults(self):
@@ -75,6 +79,8 @@ class TestSolverConfig:
             {"tau_ot": -1.0},
             {"max_iterations": 0},
             {"tolerance": -1e-9},
+            {"tau_ot": float("nan")},
+            {"tolerance": float("nan")},
             {"algorithm": "newton"},
         ],
     )
@@ -113,6 +119,14 @@ class TestSinkhornLinear:
         msg = str(err.value)
         assert "(0, 0)" in msg
         assert "sinkhorn_log" in msg and "stable_greenkhorn" in msg
+
+    def test_vanishing_row_names_a_plain_number(self):
+        # exp(-1/tau) underflows to 0, so row 0 has no mass left to rescale
+        m = np.array([[-1.0, -1.0], [0.0, 0.0]])
+        with pytest.raises(
+            NumericOverflowError, match=r"produced nan at entry \(0, 0\) during row normalization"
+        ):
+            sinkhorn_linear(m, SolverConfig(tau_ot=1e-3), ClassMarginal.uniform(2))
 
     def test_zero_mass_column_stays_empty(self):
         m = random_instance(5, 3, BASE_SEED + 20)
