@@ -111,7 +111,7 @@ def _run(args):
 def _cmd_pipeline(args) -> int:
     report = _run(args)
     out = Path(args.out)
-    pio.write_report(report, out)
+    pio.write_report(report.to_json_dict(), out)
     pio.write_predictions_csv(
         _predictions_csv_path(out), report.predictions, report.class_names
     )

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import UsageError
 from .io import write_embeddings, write_report
-from .numerics import l2_normalize_rows
+from .numerics import _finite_settings, l2_normalize_rows
 
 __all__ = ["FixtureSpec", "Fixture", "generate_fixture", "write_fixture"]
 
@@ -60,6 +60,7 @@ class FixtureSpec:
             raise UsageError("each class needs at least one description")
         if self.name_noise is not None and not self.name_noise >= 0:
             raise UsageError(f"name_noise must be nonnegative, got {self.name_noise}")
+        _finite_settings(self, "separation", "angle_deg", "offset", "noise", "name_noise")
 
     @property
     def resolved_name_noise(self) -> float:
@@ -98,6 +99,14 @@ def _equal_angle_rotation(rng: np.random.Generator, dim: int, angle_deg: float) 
     return basis @ block @ basis.T
 
 
+def _finite(draw: np.ndarray, setting: str) -> np.ndarray:
+    """``draw``, unless the ``setting`` that scales it is too large to keep it finite."""
+    if not np.all(np.isfinite(draw)):
+        raise UsageError(f"{setting} is too large: its fixture draw is not finite")
+    return draw
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a draw that overflows is rejected below
 def generate_fixture(seed: int, spec: FixtureSpec) -> Fixture:
     """Draw a complete fixture (images, labels, knowledge base) from one seed."""
     rng = np.random.default_rng(seed)
@@ -112,14 +121,14 @@ def generate_fixture(seed: int, spec: FixtureSpec) -> Fixture:
     labels = np.repeat(np.arange(k), counts)
     rng.shuffle(labels)
 
-    images = l2_normalize_rows(
-        spec.separation * means[labels] + rng.standard_normal((n, d))
-    )
+    images = l2_normalize_rows(_finite(
+        spec.separation * means[labels] + rng.standard_normal((n, d)), "separation"
+    ))
 
     rotation = _equal_angle_rotation(rng, d, spec.angle_deg)
     offset_dir = rng.standard_normal(d)
     offset_vec = spec.offset * offset_dir / np.linalg.norm(offset_dir)
-    text_centers = means @ rotation.T + offset_vec  # (k, d)
+    text_centers = _finite(means @ rotation.T + offset_vec, "offset")  # (k, d)
 
     class_names = [f"class_{j:02d}" for j in range(k)]
     descriptions = [
@@ -130,15 +139,15 @@ def generate_fixture(seed: int, spec: FixtureSpec) -> Fixture:
         for j in range(k)
     ]
     description_embeddings = [
-        l2_normalize_rows(
+        l2_normalize_rows(_finite(
             text_centers[j]
-            + spec.noise * rng.standard_normal((spec.descriptions_per_class, d))
-        )
+            + spec.noise * rng.standard_normal((spec.descriptions_per_class, d)), "noise"
+        ))
         for j in range(k)
     ]
-    name_embeddings = l2_normalize_rows(
-        text_centers + spec.resolved_name_noise * rng.standard_normal((k, d))
-    )
+    name_embeddings = l2_normalize_rows(_finite(
+        text_centers + spec.resolved_name_noise * rng.standard_normal((k, d)), "name_noise"
+    ))
 
     manifest = {
         "seed": int(seed),

@@ -267,9 +267,8 @@ def read_marginal(path) -> ClassMarginal:
     return ClassMarginal.from_weights(weights)
 
 
-def write_report(report, path) -> None:
-    """Serialize a report with fixed key order; identical reports give identical bytes."""
-    doc = report.to_json_dict() if hasattr(report, "to_json_dict") else report
+def write_report(doc, path) -> None:
+    """Serialize a JSON document with fixed key order; equal documents give equal bytes."""
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericError, UsageError
-from .numerics import _BLOCK_ROWS, as_matrix, l2_normalize_rows, log_softmax_rows
+from .numerics import _BLOCK_ROWS, _finite_settings, as_matrix, l2_normalize_rows
+from .numerics import log_softmax_rows
 from .solvers import PseudoLabels
 
 __all__ = [
@@ -69,6 +70,7 @@ class LearnConfig:
             raise UsageError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if not self.loss_tolerance >= 0:
             raise UsageError(f"loss_tolerance must be >= 0, got {self.loss_tolerance}")
+        _finite_settings(self, "tau_learn", "learning_rate", "loss_tolerance")
 
 
 @dataclass

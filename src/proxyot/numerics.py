@@ -50,6 +50,14 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     return out
 
 
+def _finite_settings(config, *names: str) -> None:
+    """Reject the first named setting of ``config`` that is set (not None) but not finite."""
+    for name in names:
+        value = getattr(config, name)
+        if value is not None and not np.isfinite(value):
+            raise UsageError(f"{name} must be finite, got {value}")
+
+
 def _lse(a: np.ndarray, axis: int) -> np.ndarray:
     """Max-shifted log-sum-exp along ``axis``; no input validation (hot path).
 

@@ -267,36 +267,21 @@ def bench_solvers(m, q: ClassMarginal, configs) -> list[dict]:
     rows = []
     for cfg in configs:
         start = time.perf_counter()
+        row = {"algorithm": cfg.algorithm, "tau_ot": cfg.tau_ot}
         try:
             plan = solve(m, cfg, q)
         except NumericError as exc:
-            rows.append(
-                {
-                    "algorithm": cfg.algorithm,
-                    "tau_ot": cfg.tau_ot,
-                    "status": "numeric_overflow",
-                    "error": str(exc),
-                    "iterations": None,
-                    "final_row_violation": None,
-                    "final_col_violation": None,
-                    "objective": None,
-                    "wall_time_s": time.perf_counter() - start,
-                }
+            row.update(status="numeric_overflow", error=str(exc), iterations=None,
+                       final_row_violation=None, final_col_violation=None, objective=None)
+        else:
+            row.update(
+                status="converged" if plan.converged(cfg.tolerance) else "max_iterations",
+                error=None,
+                iterations=plan.iterations_used,
+                final_row_violation=plan.final_row_violation,
+                final_col_violation=plan.final_col_violation,
+                objective=entropic_objective(plan, m, cfg.tau_ot),
             )
-            continue
-        rows.append(
-            {
-                "algorithm": cfg.algorithm,
-                "tau_ot": cfg.tau_ot,
-                "status": "converged"
-                if plan.converged(cfg.tolerance)
-                else "max_iterations",
-                "error": None,
-                "iterations": plan.iterations_used,
-                "final_row_violation": plan.final_row_violation,
-                "final_col_violation": plan.final_col_violation,
-                "objective": entropic_objective(plan, m, cfg.tau_ot),
-                "wall_time_s": time.perf_counter() - start,
-            }
-        )
+        row["wall_time_s"] = time.perf_counter() - start
+        rows.append(row)
     return rows

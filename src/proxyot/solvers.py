@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericOverflowError, UsageError
-from .numerics import _lse, as_matrix
+from .numerics import _finite_settings, _lse, as_matrix
 
 __all__ = [
     "ALGORITHMS",
@@ -37,8 +37,6 @@ __all__ = [
     "entropic_objective",
     "pseudo_labels",
 ]
-
-ALGORITHMS = ("sinkhorn_linear", "sinkhorn_log", "stable_greenkhorn")
 
 # Incremental row/column bookkeeping drifts; refresh it fully this often.
 _REFRESH_EVERY = 1000
@@ -102,6 +100,7 @@ class SolverConfig:
             raise UsageError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not self.tolerance >= 0:
             raise UsageError(f"tolerance must be >= 0, got {self.tolerance}")
+        _finite_settings(self, "tau_ot", "tolerance")
         if self.algorithm not in ALGORITHMS:
             raise UsageError(
                 f"unknown algorithm {self.algorithm!r}; choose from {', '.join(ALGORITHMS)}"
@@ -308,7 +307,9 @@ def stable_greenkhorn(m, cfg: SolverConfig, q: ClassMarginal) -> TransportPlan:
     otherwise the argmax column (ties go to the column; index ties to the
     lowest index). The rescale adds a constant to the line in log space, so
     the selected line meets its target mass exactly and the plan keeps the
-    diagonal-scaling structure of the initialization.
+    diagonal-scaling structure of the initialization. A column update is the
+    row update on the transposed plan, with the roles of the row and column
+    sums, violations and targets swapped.
     """
     mat, qv = _check_inputs(m, q)
     n, _ = mat.shape
@@ -323,6 +324,7 @@ def stable_greenkhorn(m, cfg: SolverConfig, q: ClassMarginal) -> TransportPlan:
         # p stays exactly exp(log_p); +inf entries are legal until the first
         # rescale of their line and the crossed sums are repaired on the fly.
         p = np.exp(log_p)
+        log_pt, pt = log_p.T, p.T  # views: log_p and p are only written in place
         row_sums, col_sums, rv, cv = _line_sums(p, row_target, qv)
         while iterations < cfg.max_iterations:
             r = int(rv.argmax())
@@ -336,42 +338,34 @@ def stable_greenkhorn(m, cfg: SolverConfig, q: ClassMarginal) -> TransportPlan:
                     break
                 row_sums, col_sums, rv, cv = _line_sums(p, row_target, qv)
                 continue
+            # A column is a row of the transposes. Pick each axis's state per update:
+            # the refresh and the confirm step rebind the incremental vectors.
+            if worst_row > worst_col:
+                i, lp, pp, ln_target, target = r, log_p, p, ln_row_target, row_target
+                sums, v, crossed, crossed_v = row_sums, rv, col_sums, cv
+                crossed_target = qv
+            else:
+                i, lp, pp, ln_target, target = c, log_pt, pt, ln_q[c], qv[c]
+                sums, v, crossed, crossed_v = col_sums, cv, row_sums, rv
+                crossed_target = row_target
+            line = lp[i]
+            lse = line.max()  # an all -inf or +inf line keeps its max, as in _lse
+            if math.isfinite(lse):
+                lse += np.log(np.exp(line - lse).sum())
+            line += ln_target - lse
+            new_line = np.exp(line)
+            crossed += new_line - pp[i]
+            pp[i] = new_line
+            sums[i] = new_line.sum()
+            v[i] = abs(sums[i] - target)
             # A row holding a +inf entry of p has a +inf sum, so the worst row is
             # +inf while any is left. Rescaled lines are finite, so after that no
             # crossed sum can meet inf - inf and the NaN repair is skipped.
-            raw = worst_row == np.inf
-            if worst_row > worst_col:
-                line = log_p[r]
-                lse = line.max()  # an all -inf or +inf line keeps its max, as in _lse
-                if math.isfinite(lse):
-                    lse += np.log(np.exp(line - lse).sum())
-                line += ln_row_target - lse
-                new_line = np.exp(line)
-                col_sums += new_line - p[r]
-                p[r] = new_line
-                row_sums[r] = new_line.sum()
-                rv[r] = abs(row_sums[r] - row_target)
-                if raw:
-                    bad = np.isnan(col_sums)
-                    if bad.any():
-                        col_sums[bad] = p[:, bad].sum(axis=0)
-                np.abs(np.subtract(col_sums, qv, out=cv), out=cv)
-            else:
-                line = log_p[:, c]
-                lse = line.max()
-                if math.isfinite(lse):
-                    lse += np.log(np.exp(line - lse).sum())
-                line += ln_q[c] - lse
-                new_line = np.exp(line)
-                row_sums += new_line - p[:, c]
-                p[:, c] = new_line
-                col_sums[c] = new_line.sum()
-                cv[c] = abs(col_sums[c] - qv[c])
-                if raw:
-                    bad = np.isnan(row_sums)
-                    if bad.any():
-                        row_sums[bad] = p[bad, :].sum(axis=1)
-                np.abs(np.subtract(row_sums, row_target, out=rv), out=rv)
+            if worst_row == np.inf:
+                bad = np.isnan(crossed)
+                if bad.any():
+                    crossed[bad] = pp[:, bad].sum(axis=0)
+            np.abs(np.subtract(crossed, crossed_target, out=crossed_v), out=crossed_v)
             iterations += 1
             if iterations % _REFRESH_EVERY == 0:
                 row_sums, col_sums, rv, cv = _line_sums(p, row_target, qv)
@@ -383,6 +377,7 @@ _SOLVERS = {
     "sinkhorn_log": sinkhorn_log,
     "stable_greenkhorn": stable_greenkhorn,
 }
+ALGORITHMS = tuple(_SOLVERS)
 
 
 def solve(m, cfg: SolverConfig, q: ClassMarginal) -> TransportPlan:

@@ -1,7 +1,12 @@
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from proxyot import io as pio
 from proxyot.cli import main
@@ -250,7 +255,8 @@ class TestNumericEdges:
 
 
 class TestBadSettingsAndData:
-    """NaN settings are usage errors; bad file data is one error line naming its source."""
+    """NaN and infinite settings are usage errors; bad file data is one error line
+    naming its source."""
 
     @pytest.mark.parametrize(
         "command, flag",
@@ -268,11 +274,12 @@ class TestBadSettingsAndData:
         else:
             args = [command, "--images", str(cli_fixture / "images.emb"),
                     "--kb", str(cli_fixture / "kb.json"), "--max-iterations", "200"]
-        code = main([*args, flag, "nan", "--out", str(tmp_path / "out")])
-        assert code == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("usage error:")
-        assert not (tmp_path / "out").exists()
+        for value in ("nan", "inf"):
+            code = main([*args, flag, value, "--out", str(tmp_path / "out")])
+            assert code == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("usage error:")
+            assert not (tmp_path / "out").exists()
 
     def test_nan_image_entry_names_the_file(self, cli_fixture, tmp_path, capsys):
         rows = pio.read_embeddings(cli_fixture / "images.emb")
@@ -446,6 +453,20 @@ class TestGenFixture:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("flag, setting", [
+        ("--offset", "offset"), ("--noise", "noise"), ("--name-noise", "name_noise"),
+    ])
+    def test_setting_too_large_for_its_draw_is_usage_error(
+        self, tmp_path, capsys, flag, setting
+    ):
+        out = tmp_path / "x"
+        assert main(["gen-fixture", "--seed", "1", "--out", str(out), flag, "1e308"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"usage error: {setting} is too large: its fixture draw is not finite"
+        ]
+        assert not out.exists()
+
     def test_gapless_fixture_makes_name_proxies_perfect(self, tmp_path):
         fx = tmp_path / "clean"
         assert main(
@@ -523,3 +544,42 @@ class TestCapWarnings:
         assert doc["converged"] is True
         assert doc["final_row_violation"] <= 9.95100506571e-07
         assert capsys.readouterr().err == ""
+
+
+FIXTURE_FLOAT_FLAGS = ["--separation", "--angle", "--offset", "--noise", "--name-noise"]
+
+# any float, plus the infinite, NaN and huge values a random draw rarely hits
+SETTING_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -1e308, 1.7e308, 1e300, 0.0]),
+)
+
+
+class TestFixtureSettingsProperty:
+    """Any value of gen-fixture's float settings either writes the fixture or is
+    one usage error line: never a data error, a traceback or a leaked warning."""
+
+    @settings(
+        max_examples=50,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.fixed_dictionaries({}, optional=dict.fromkeys(FIXTURE_FLOAT_FLAGS, SETTING_VALUES)))
+    def test_writes_fixture_or_exits_one(self, capsys, values):
+        capsys.readouterr()
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "fx"
+            args = ["gen-fixture", "--seed", "3", "--out", str(out), "--n", "12",
+                    "--classes", "3", "--dim", "6", "--descriptions", "2"]
+            for flag, value in values.items():
+                args.append(f"{flag}={value!r}")
+            code = main(args)
+            captured = capsys.readouterr()
+            if code == 0:
+                assert (out / "manifest.json").exists()
+                assert captured.err == ""
+            else:
+                assert code == 1
+                err = captured.err.splitlines()
+                assert len(err) == 1 and err[0].startswith("usage error:")
+                assert not out.exists()

@@ -82,6 +82,7 @@ class TestSolverConfig:
             {"tau_ot": float("nan")},
             {"tolerance": float("nan")},
             {"algorithm": "newton"},
+            {"tolerance": float("inf")},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -381,6 +382,17 @@ class TestGreedyMatchesReference:
         cfg = SolverConfig(tau_ot=1e-3, max_iterations=3_000, tolerance=1e-9)
         assert np.max(m) / cfg.tau_ot > 709.8  # exp overflows: p starts with +inf
         assert_same_plan(m, cfg, ClassMarginal.uniform(4))
+
+    @pytest.mark.parametrize("cap", [50, 500, 3_000])
+    def test_repairs_lines_longer_than_numpys_unrolled_block(self, cap):
+        # Ties go to the column, so the +inf start is rescaled column by column,
+        # and each NaN repair of a row sum adds up a row of K = 20 entries:
+        # longer than numpy's 8-wide unrolled block, unlike any K <= 8 instance.
+        rng = np.random.default_rng(BASE_SEED + 12)
+        m = rng.uniform(-1.0, 1.0, size=(40, 20))
+        m[rng.choice(40, 6, replace=False), rng.choice(20, 6, replace=False)] = 1.0
+        cfg = SolverConfig(tau_ot=1e-3, max_iterations=cap, tolerance=1e-9)
+        assert_same_plan(m, cfg, ClassMarginal.uniform(20))
 
 
 def sinkhorn_log_reference(m, cfg, q):
