@@ -54,14 +54,20 @@ kb_path.write_text(json.dumps(kb_doc, indent=2))
 kb = pio.read_knowledge_base(kb_path)
 print(f"\nknowledge base: {kb.n_classes} classes, dim {kb.dim}, names {kb.names}")
 
-# Sidecar variant: a class may omit inline embeddings if an EMB1 file is given.
-del kb_doc["classes"][0]["embeddings"]
-kb2_path = work / "kb_sidecar.json"
-kb2_path.write_text(json.dumps(kb_doc))
-side = work / "crescent.emb"
-pio.write_embeddings(np.array([[1.0, 0.0], [0.0, 1.0]]), side)
-kb2 = pio.read_knowledge_base(kb2_path, sidecars={"crescent": side})
-print("sidecar embeddings loaded:", kb2.classes[0].embeddings.shape)
+# Write it back out and read it again: the writer is the reader's inverse.
+kb2_path = work / "kb_copy.json"
+pio.write_knowledge_base(kb, kb2_path)
+kb2 = pio.read_knowledge_base(kb2_path)
+same = all(np.array_equal(a.embeddings, b.embeddings) for a, b in zip(kb.classes, kb2.classes))
+print("written and read back:", kb2.names, "embeddings bit-identical:", same)
+
+# A knowledge-base rule violation names the file it came from.
+kb_doc["classes"][1]["embeddings"] = [[0.0, 2.0]]
+kb_path.write_text(json.dumps(kb_doc))
+try:
+    pio.read_knowledge_base(kb_path)
+except DataError as exc:
+    print("non-unit row rejected:", exc)
 
 # --- class marginal: JSON weights, renormalized exactly ---
 (work / "q.json").write_text("[2, 2]")

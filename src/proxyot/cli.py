@@ -109,12 +109,13 @@ def _run(args):
 
 
 def _cmd_pipeline(args) -> int:
-    report = _run(args)
     out = Path(args.out)
+    csv = _predictions_csv_path(out)
+    if csv == out:
+        raise UsageError(f"--out {out}: the predictions CSV would overwrite the report")
+    report = _run(args)
     pio.write_report(report.to_json_dict(), out)
-    pio.write_predictions_csv(
-        _predictions_csv_path(out), report.predictions, report.class_names
-    )
+    pio.write_predictions_csv(csv, report.predictions, report.class_names)
     if report.accuracy is not None:
         print(f"{args.mode}: accuracy {report.accuracy:.4f} -> {out}")
     else:
@@ -316,7 +317,7 @@ def main(argv=None) -> int:
     except ProxyOTError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
-    except (FileNotFoundError, PermissionError, IsADirectoryError) as exc:
+    except OSError as exc:  # a path the user named cannot be read or written
         print(f"{DataError.label}: {exc}", file=sys.stderr)
         return DataError.exit_code
 

@@ -37,4 +37,10 @@ class NumericError(ProxyOTError):
 
 
 class NumericOverflowError(NumericError):
-    """Overflow/underflow in linear-domain scaling; a log-domain solver would survive."""
+    """A transport solve left the float range.
+
+    Raised when linear-domain scaling overflows, which a log-domain solver
+    would survive; when m/tau overflows, which every solver hits; and when a
+    greedy solve is capped before every line was rescaled, so its plan mass
+    overflows.
+    """

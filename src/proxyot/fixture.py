@@ -21,8 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import UsageError
-from .io import write_embeddings, write_report
+from .io import write_embeddings, write_knowledge_base, write_report
 from .numerics import _finite_settings, l2_normalize_rows
+from .retrieval import ClassRecord, KnowledgeBase
 
 __all__ = ["FixtureSpec", "Fixture", "generate_fixture", "write_fixture"]
 
@@ -73,10 +74,7 @@ class FixtureSpec:
 class Fixture:
     images: np.ndarray      # (N, d) unit rows
     labels: np.ndarray      # (N,) class indices
-    class_names: list[str]
-    descriptions: list[list[str]]
-    description_embeddings: list[np.ndarray]
-    name_embeddings: np.ndarray  # (K, d) unit rows
+    kb: KnowledgeBase       # unit description and name embedding rows
     manifest: dict
 
 
@@ -130,14 +128,6 @@ def generate_fixture(seed: int, spec: FixtureSpec) -> Fixture:
     offset_vec = spec.offset * offset_dir / np.linalg.norm(offset_dir)
     text_centers = _finite(means @ rotation.T + offset_vec, "offset")  # (k, d)
 
-    class_names = [f"class_{j:02d}" for j in range(k)]
-    descriptions = [
-        [
-            f"distinguishing visual pattern {l:02d} of {class_names[j]}"
-            for l in range(spec.descriptions_per_class)
-        ]
-        for j in range(k)
-    ]
     description_embeddings = [
         l2_normalize_rows(_finite(
             text_centers[j]
@@ -148,6 +138,15 @@ def generate_fixture(seed: int, spec: FixtureSpec) -> Fixture:
     name_embeddings = l2_normalize_rows(_finite(
         text_centers + spec.resolved_name_noise * rng.standard_normal((k, d)), "name_noise"
     ))
+    records = []
+    for j, (emb, name_emb) in enumerate(zip(description_embeddings, name_embeddings)):
+        name = f"class_{j:02d}"
+        texts = tuple(
+            f"distinguishing visual pattern {l:02d} of {name}"
+            for l in range(spec.descriptions_per_class)
+        )
+        records.append(ClassRecord(name, texts, emb, name_emb))
+    kb = KnowledgeBase(tuple(records), dim=d)
 
     manifest = {
         "seed": int(seed),
@@ -160,38 +159,19 @@ def generate_fixture(seed: int, spec: FixtureSpec) -> Fixture:
             "knowledge_base": "kb.json",
         },
     }
-    return Fixture(
-        images=images,
-        labels=labels,
-        class_names=class_names,
-        descriptions=descriptions,
-        description_embeddings=description_embeddings,
-        name_embeddings=name_embeddings,
-        manifest=manifest,
-    )
+    return Fixture(images=images, labels=labels, kb=kb, manifest=manifest)
 
 
 def write_fixture(fixture: Fixture, out_dir) -> dict:
-    """Write images.emb, labels.txt, kb.json and manifest.json into ``out_dir``."""
+    """Write the files that ``manifest["files"]`` names, and manifest.json, into ``out_dir``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_embeddings(fixture.images, out / "images.emb")
-    (out / "labels.txt").write_text(
-        "\n".join(fixture.class_names[j] for j in fixture.labels) + "\n",
-        encoding="utf-8",
+    files = fixture.manifest["files"]
+    write_embeddings(fixture.images, out / files["images"])
+    names = fixture.kb.names
+    (out / files["labels"]).write_text(
+        "\n".join(names[j] for j in fixture.labels) + "\n", encoding="utf-8"
     )
-    kb_doc = {
-        "dim": fixture.images.shape[1],
-        "classes": [
-            {
-                "name": fixture.class_names[j],
-                "descriptions": fixture.descriptions[j],
-                "embeddings": fixture.description_embeddings[j].tolist(),
-                "name_embedding": fixture.name_embeddings[j].tolist(),
-            }
-            for j in range(len(fixture.class_names))
-        ],
-    }
-    write_report(kb_doc, out / "kb.json")
+    write_knowledge_base(fixture.kb, out / files["knowledge_base"])
     write_report(fixture.manifest, out / "manifest.json")
     return fixture.manifest

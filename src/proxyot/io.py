@@ -21,7 +21,6 @@ import json
 import struct
 import zlib
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
@@ -33,6 +32,7 @@ __all__ = [
     "read_embeddings",
     "write_embeddings",
     "read_knowledge_base",
+    "write_knowledge_base",
     "read_labels",
     "read_marginal",
     "write_report",
@@ -158,64 +158,66 @@ def read_embeddings(path) -> np.ndarray:
         raise DataError(f"{path}: cannot shape {rows}x{cols}: {exc}") from exc
 
 
-def read_knowledge_base(
-    path, sidecars: Mapping[str, Path | str] | None = None
-) -> KnowledgeBase:
-    """Parse and validate a knowledge-base JSON document.
+def read_knowledge_base(path) -> KnowledgeBase:
+    """Parse a knowledge-base JSON document into a validated ``KnowledgeBase``.
 
-    A class may omit its inline ``embeddings`` list if ``sidecars`` maps its
-    name to an EMB1 file carrying them. An optional per-class
-    ``name_embedding`` row makes the class usable as a name-proxy baseline.
+    Each class lists its description texts and one ``embeddings`` row per
+    description; an optional ``name_embedding`` row makes the class usable as
+    a name-proxy baseline. This reader checks what JSON can get wrong (types,
+    booleans, ragged arrays, ``dim``); ``ClassRecord`` and ``KnowledgeBase``
+    check the rest. Every error names ``path``.
     """
     doc = _read_json(path)
+    try:
+        return _knowledge_base(doc)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
+def _knowledge_base(doc) -> KnowledgeBase:
     if not isinstance(doc, dict):
-        raise DataError(f"{path}: top level must be an object")
+        raise DataError("top level must be an object")
     dim = doc.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise DataError(f"{path}: 'dim' must be a positive integer, got {dim!r}")
-    classes_raw = doc.get("classes")
-    if not isinstance(classes_raw, list) or not classes_raw:
-        raise DataError(f"{path}: 'classes' must be a nonempty list")
+        raise DataError(f"'dim' must be a positive integer, got {dim!r}")
+    classes = doc.get("classes")
+    if not isinstance(classes, list):
+        raise DataError("'classes' must be a list")
     records = []
-    for pos, entry in enumerate(classes_raw):
+    for pos, entry in enumerate(classes):
         if not isinstance(entry, dict):
-            raise DataError(f"{path}: class {pos} must be an object")
+            raise DataError(f"class {pos} must be an object")
         name = entry.get("name")
         if not isinstance(name, str) or not name:
-            raise DataError(f"{path}: class {pos} has no usable 'name'")
+            raise DataError(f"class {pos} has no usable 'name'")
         descriptions = entry.get("descriptions")
-        if (
-            not isinstance(descriptions, list)
-            or not descriptions
-            or not all(isinstance(t, str) for t in descriptions)
+        if not isinstance(descriptions, list) or not all(
+            isinstance(t, str) for t in descriptions
         ):
-            raise DataError(
-                f"{path}: class {name!r} needs a nonempty list of description strings"
-            )
-        if "embeddings" in entry:
-            emb = _numeric_array(
-                entry["embeddings"], f"{path}: class {name!r} embeddings", ndim=2
-            )
-        elif sidecars is not None and name in sidecars:
-            emb = read_embeddings(sidecars[name])
-        else:
-            raise DataError(
-                f"{path}: class {name!r} has no inline embeddings and no sidecar file"
-            )
+            raise DataError(f"class {name!r} needs a list of description strings")
+        if "embeddings" not in entry:
+            raise DataError(f"class {name!r} has no 'embeddings'")
+        emb = _numeric_array(entry["embeddings"], f"class {name!r} embeddings", ndim=2)
         name_emb = entry.get("name_embedding")
         if name_emb is not None:
-            name_emb = _numeric_array(
-                name_emb, f"{path}: class {name!r} name_embedding", ndim=1
-            )
-        records.append(
-            ClassRecord(
-                name=name,
-                descriptions=tuple(descriptions),
-                embeddings=emb,
-                name_embedding=name_emb,
-            )
-        )
+            name_emb = _numeric_array(name_emb, f"class {name!r} name_embedding", ndim=1)
+        records.append(ClassRecord(name, tuple(descriptions), emb, name_emb))
     return KnowledgeBase(classes=tuple(records), dim=dim)
+
+
+def write_knowledge_base(kb: KnowledgeBase, path) -> None:
+    """Write ``kb`` as the JSON document that ``read_knowledge_base`` reads back."""
+    classes = []
+    for rec in kb.classes:
+        entry = {
+            "name": rec.name,
+            "descriptions": list(rec.descriptions),
+            "embeddings": rec.embeddings.tolist(),
+        }
+        if rec.name_embedding is not None:
+            entry["name_embedding"] = rec.name_embedding.tolist()
+        classes.append(entry)
+    write_report({"dim": kb.dim, "classes": classes}, path)
 
 
 def read_labels(path, kb: KnowledgeBase) -> np.ndarray:

@@ -37,6 +37,12 @@ def _pipeline_args(fx, out, mode="kpl_text", extra=()):
     ]
 
 
+def _with(args, flag, value):
+    """``args`` with the value after ``flag`` replaced by ``value``."""
+    at = args.index(flag) + 1
+    return [*args[:at], str(value), *args[at + 1 :]]
+
+
 class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
@@ -173,6 +179,55 @@ class TestExitCodes:
         )
         assert code == 3
         assert "overflow" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", [
+        "images_under_a_file", "name_too_long", "out_under_a_file", "gen_fixture_over_a_file",
+    ])
+    def test_os_error_on_a_named_path_is_one_data_error_line(
+        self, cli_fixture, tmp_path, capsys, case
+    ):
+        under_file = cli_fixture / "images.emb" / "x"
+        base = _pipeline_args(cli_fixture, tmp_path / "r.json")
+        args = {
+            "images_under_a_file": _with(base, "--images", under_file),
+            "name_too_long": _with(base, "--images", tmp_path / ("x" * 300)),
+            "out_under_a_file": _with(base, "--out", under_file),
+            "gen_fixture_over_a_file": ["gen-fixture", "--seed", "1", "--out",
+                                        str(cli_fixture / "kb.json")],
+        }[case]
+        assert main(args) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error: ")
+
+    @pytest.mark.parametrize("command", ["pipeline", "eval"])
+    def test_csv_report_path_is_usage_error(self, cli_fixture, tmp_path, capsys, command):
+        out = tmp_path / "report.csv"
+        assert main([command, *_pipeline_args(cli_fixture, out)[1:]]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"usage error: --out {out}: the predictions CSV would overwrite the report"
+        ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fault", ["non_unit_row", "duplicate_name", "count", "dim"])
+    def test_knowledge_base_rule_error_names_the_file(
+        self, cli_fixture, tmp_path, capsys, fault
+    ):
+        doc = json.loads((cli_fixture / "kb.json").read_text())
+        classes = doc["classes"]
+        if fault == "non_unit_row":
+            classes[2]["embeddings"][3] = [2 * x for x in classes[2]["embeddings"][3]]
+        elif fault == "duplicate_name":
+            classes[1]["name"] = classes[0]["name"]
+        elif fault == "count":
+            classes[0]["descriptions"].pop()
+        else:
+            doc["dim"] += 1
+        kb = tmp_path / "badkb.json"
+        kb.write_text(json.dumps(doc))
+        assert main(_with(_pipeline_args(cli_fixture, tmp_path / "r.json"), "--kb", kb)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"data error: {kb}: ")
 
 
 class TestNumericEdges:

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from proxyot import io as pio
 from proxyot.errors import DataError, UsageError
+from proxyot.fixture import FixtureSpec, generate_fixture, write_fixture
+from proxyot.retrieval import ClassRecord, KnowledgeBase
 
 
 class TestEmb1RoundTrip:
@@ -157,32 +159,12 @@ class TestKnowledgeBaseFile:
         with pytest.raises(DataError, match="dim"):
             pio.read_knowledge_base(path)
 
-    def test_sidecar_embeddings_are_loaded(self, tmp_path):
-        doc = _kb_doc(inline=False)
-        kb_path = tmp_path / "kb.json"
-        kb_path.write_text(json.dumps(doc))
-        sidecar = tmp_path / "alpha.emb"
-        pio.write_embeddings(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), sidecar)
-        kb = pio.read_knowledge_base(kb_path, sidecars={"alpha": sidecar})
-        np.testing.assert_array_equal(
-            kb.classes[0].embeddings, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
-        )
-
     def test_missing_embeddings_without_sidecar_rejected(self, tmp_path):
         doc = _kb_doc(inline=False)
         path = tmp_path / "kb.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(DataError, match="sidecar"):
+        with pytest.raises(DataError, match="class 'alpha' has no 'embeddings'"):
             pio.read_knowledge_base(path)
-
-    def test_sidecar_count_mismatch_rejected(self, tmp_path):
-        doc = _kb_doc(inline=False)
-        kb_path = tmp_path / "kb.json"
-        kb_path.write_text(json.dumps(doc))
-        sidecar = tmp_path / "alpha.emb"
-        pio.write_embeddings(np.array([[1.0, 0.0, 0.0]]), sidecar)
-        with pytest.raises(DataError, match="descriptions"):
-            pio.read_knowledge_base(kb_path, sidecars={"alpha": sidecar})
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "kb.json"
@@ -227,6 +209,89 @@ class TestKnowledgeBaseFile:
         kb = pio.read_knowledge_base(path)
         names = kb.name_embedding_matrix()
         np.testing.assert_array_equal(names, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+
+# names and texts with quotes, commas, backslashes and non-ASCII characters
+_TEXT = st.text(alphabet=st.sampled_from('ab "\',\\\né漢🙂'), max_size=10)
+# entries too small to square are zeroed, so every drawn row normalizes to unit
+_ENTRY = st.floats(-4.0, 4.0).map(lambda x: x if abs(x) > 1e-6 else 0.0)
+
+
+@st.composite
+def knowledge_bases(draw):
+    dim = draw(st.integers(1, 6))
+    with_names = draw(st.booleans())
+    names = draw(st.lists(_TEXT.filter(bool), min_size=1, max_size=4, unique=True))
+    records = []
+    for name in names:
+        count = draw(st.integers(1, 5))
+        texts = draw(st.lists(_TEXT, min_size=count, max_size=count))
+        rows = np.array(draw(st.lists(
+            st.lists(_ENTRY, min_size=dim, max_size=dim), min_size=count, max_size=count
+        )))
+        rows[~rows.any(axis=1), 0] = 1.0
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        name_emb = None
+        if with_names:
+            finite = st.floats(allow_nan=False, allow_infinity=False)
+            name_emb = np.array(draw(st.lists(finite, min_size=dim, max_size=dim)))
+        records.append(ClassRecord(name, tuple(texts), rows, name_emb))
+    return KnowledgeBase(tuple(records), dim=dim)
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def _frozen_fixture_kb_doc(fixture) -> dict:
+    """The kb.json document write_fixture once assembled by hand; its bytes pin the format."""
+    class_names = fixture.kb.names
+    descriptions = [list(rec.descriptions) for rec in fixture.kb.classes]
+    description_embeddings = [rec.embeddings for rec in fixture.kb.classes]
+    name_embeddings = np.stack([rec.name_embedding for rec in fixture.kb.classes])
+    return {
+        "dim": fixture.images.shape[1],
+        "classes": [
+            {
+                "name": class_names[j],
+                "descriptions": descriptions[j],
+                "embeddings": description_embeddings[j].tolist(),
+                "name_embedding": name_embeddings[j].tolist(),
+            }
+            for j in range(len(class_names))
+        ],
+    }
+
+
+class TestKnowledgeBaseWriter:
+    @settings(max_examples=60, deadline=None)
+    @given(kb=knowledge_bases())
+    def test_write_then_read_gives_the_same_base(self, tmp_path_factory, kb):
+        path = tmp_path_factory.mktemp("kbw") / "kb.json"
+        pio.write_knowledge_base(kb, path)
+        back = pio.read_knowledge_base(path)
+        assert back.dim == kb.dim
+        assert back.names == kb.names
+        for got, want in zip(back.classes, kb.classes):
+            assert got.descriptions == want.descriptions
+            np.testing.assert_array_equal(_bits(got.embeddings), _bits(want.embeddings))
+            if want.name_embedding is None:
+                assert got.name_embedding is None
+            else:
+                np.testing.assert_array_equal(
+                    _bits(got.name_embedding), _bits(want.name_embedding)
+                )
+
+    @pytest.mark.parametrize("seed, spec", [
+        (42, FixtureSpec()),
+        (7, FixtureSpec(n_images=30, n_classes=4, dim=9, descriptions_per_class=3,
+                        noise=0.2, name_noise=0.9)),
+    ])
+    def test_fixture_kb_matches_the_frozen_document(self, tmp_path, seed, spec):
+        fixture = generate_fixture(seed, spec)
+        write_fixture(fixture, tmp_path)
+        frozen = json.dumps(_frozen_fixture_kb_doc(fixture), indent=2) + "\n"
+        assert (tmp_path / "kb.json").read_bytes() == frozen.encode("utf-8")
 
 
 class TestLabels:
