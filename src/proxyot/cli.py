@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -108,11 +109,34 @@ def _run(args):
     return report
 
 
+def _refuse_overwrites(args) -> None:
+    """Refuse a command whose output resolves to one of its inputs or to its other output.
+
+    Paths are compared after ``os.path.realpath`` (symlinks, ``.`` and ``..``); no
+    file is opened. ``Path.resolve`` would raise on a symlink loop, which instead
+    fails as a data error where it is read.
+    """
+    if getattr(args, "out", None) is None:
+        return
+    named = {}  # resolved path -> how the message names it
+    for flag in ("images", "kb", "labels", "marginal"):
+        path = getattr(args, flag, None)
+        if path is not None:
+            named[os.path.realpath(path)] = f"--{flag} {path}"
+    out = Path(args.out)
+    writes = [(f"--out {out}", out)]
+    if args.handler is _cmd_pipeline:
+        writes.append((f"--out {out}: the predictions CSV", _predictions_csv_path(out)))
+    for what, path in writes:
+        path = os.path.realpath(path)
+        if path in named:
+            raise UsageError(f"{what} would overwrite {named[path]}")
+        named[path] = "the report"  # only pipeline/eval write a second file
+
+
 def _cmd_pipeline(args) -> int:
     out = Path(args.out)
     csv = _predictions_csv_path(out)
-    if csv == out:
-        raise UsageError(f"--out {out}: the predictions CSV would overwrite the report")
     report = _run(args)
     pio.write_report(report.to_json_dict(), out)
     pio.write_predictions_csv(csv, report.predictions, report.class_names)
@@ -310,6 +334,7 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _refuse_overwrites(args)
         return args.handler(args)
     except SystemExit as exc:  # argparse --help / --version
         code = exc.code

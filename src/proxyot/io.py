@@ -281,5 +281,6 @@ def write_predictions_csv(path, predictions, class_names) -> None:
         for name in class_names
     ]
     lines = ["index,predicted_class_name"]
-    lines += [f"{i},{fields[int(label)]}" for i, label in enumerate(predictions)]
+    labels = np.asarray(predictions).tolist()  # Python ints in one numpy pass
+    lines += [f"{i},{fields[label]}" for i, label in enumerate(labels)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

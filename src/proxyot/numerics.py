@@ -61,13 +61,13 @@ def _finite_settings(config, *names: str) -> None:
 def _lse(a: np.ndarray, axis: int) -> np.ndarray:
     """Max-shifted log-sum-exp along ``axis``; no input validation (hot path).
 
-    Entries may be -inf; all -inf along the axis yields -inf, never NaN.
+    A line with a non-finite maximum is shifted by 0 and so returns that maximum:
+    all -inf gives log 0 = -inf (never NaN), +inf gives +inf, NaN propagates.
     """
     mx = np.max(a, axis=axis, keepdims=True)
     safe_mx = np.where(np.isfinite(mx), mx, 0.0)
     with np.errstate(divide="ignore"):
         out = safe_mx + np.log(np.sum(np.exp(a - safe_mx), axis=axis, keepdims=True))
-    out = np.where(np.isfinite(mx), out, mx)
     return np.squeeze(out, axis=axis)
 
 

@@ -93,7 +93,7 @@ class RunReport:
             "class_names": self.class_names,
             "solver_diagnostics": self.solver_diagnostics,
             "learn_summary": self.learn_summary,
-            "predictions": [int(p) for p in self.predictions],
+            "predictions": self.predictions.tolist(),
             "accuracy": self.accuracy,
             "per_class_accuracy": self.per_class_accuracy,
         }

@@ -325,18 +325,18 @@ def stable_greenkhorn(m, cfg: SolverConfig, q: ClassMarginal) -> TransportPlan:
         # rescale of their line and the crossed sums are repaired on the fly.
         p = np.exp(log_p)
         log_pt, pt = log_p.T, p.T  # views: log_p and p are only written in place
-        row_sums, col_sums, rv, cv = _line_sums(p, row_target, qv)
         while iterations < cfg.max_iterations:
+            if iterations % _REFRESH_EVERY == 0:  # build, then rebuild as sums drift
+                row_sums, col_sums, rv, cv = _line_sums(p, row_target, qv)
             r = int(rv.argmax())
             c = int(cv.argmax())
             worst_row = rv[r]
             worst_col = cv[c]
             if worst_row <= tol and worst_col <= tol:
                 # Incremental sums drift; confirm against fresh ones before stopping.
-                fresh_row, fresh_col = _violations(p, row_target, qv)
-                if fresh_row <= tol and fresh_col <= tol:
-                    break
                 row_sums, col_sums, rv, cv = _line_sums(p, row_target, qv)
+                if rv.max() <= tol and cv.max() <= tol:
+                    break
                 continue
             # A column is a row of the transposes. Pick each axis's state per update:
             # the refresh and the confirm step rebind the incremental vectors.
@@ -367,8 +367,6 @@ def stable_greenkhorn(m, cfg: SolverConfig, q: ClassMarginal) -> TransportPlan:
                     crossed[bad] = pp[:, bad].sum(axis=0)
             np.abs(np.subtract(crossed, crossed_target, out=crossed_v), out=crossed_v)
             iterations += 1
-            if iterations % _REFRESH_EVERY == 0:
-                row_sums, col_sums, rv, cv = _line_sums(p, row_target, qv)
     return _finish(log_p, p, row_target, q, iterations)
 
 

@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -228,6 +230,117 @@ class TestExitCodes:
         assert main(_with(_pipeline_args(cli_fixture, tmp_path / "r.json"), "--kb", kb)) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"data error: {kb}: ")
+
+
+# Every input flag of each subcommand that reads inputs and writes a file.
+_READS = {
+    "pipeline": ("images", "kb", "labels", "marginal"),
+    "eval": ("images", "kb", "labels", "marginal"),
+    "classify": ("images", "kb", "marginal"),
+    "retrieve": ("images", "kb", "marginal"),
+    "plan": ("images", "kb", "marginal"),
+    "learn": ("images", "kb", "marginal"),
+    "bench-ot": ("images", "kb", "marginal"),
+}
+_INPUT_FILES = {
+    "images": "images.emb", "kb": "kb.json", "labels": "labels.txt",
+    "marginal": "marginal.json",
+}
+
+
+class TestOverwriteRefused:
+    """An output that resolves to an input, or to the command's other output,
+    exits 1 with one usage line before anything is read or written."""
+
+    @pytest.fixture
+    def fx(self, cli_fixture, tmp_path):
+        """Private copies of the inputs, so a refused write cannot reach the shared ones."""
+        fx = tmp_path / "fx"
+        fx.mkdir()
+        for name in ("images.emb", "kb.json", "labels.txt"):
+            (fx / name).write_bytes((cli_fixture / name).read_bytes())
+        (fx / "marginal.json").write_text("[1, 2, 1]\n")
+        return fx
+
+    @staticmethod
+    def _args(command, fx, out, **paths):
+        paths = {flag: fx / name for flag, name in _INPUT_FILES.items()} | paths
+        args = [command]
+        if command in ("pipeline", "eval", "classify"):
+            args += ["--mode", "kpl_text"]
+        for flag in _READS[command]:
+            args += [f"--{flag}", paths[flag]]
+        return [str(a) for a in (*args, "--out", out)]
+
+    @staticmethod
+    def _refused(argv, capsys, *flags):
+        """Run ``argv``; it must exit 1 with one usage line naming every flag in ``flags``."""
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error: ")
+        for flag in flags:
+            assert f"{flag} " in err[0]
+
+    @staticmethod
+    def _snapshot(fx):
+        return {path.name: path.read_bytes() for path in fx.iterdir()}
+
+    @pytest.mark.parametrize(
+        "command, flag", [(c, f) for c, flags in _READS.items() for f in flags]
+    )
+    def test_out_over_an_input(self, fx, capsys, command, flag):
+        before = self._snapshot(fx)
+        self._refused(
+            self._args(command, fx, fx / _INPUT_FILES[flag]), capsys, "--out", f"--{flag}"
+        )
+        assert self._snapshot(fx) == before
+
+    @pytest.mark.parametrize("command", ["pipeline", "eval"])
+    def test_predictions_csv_over_an_input(self, fx, capsys, command):
+        (fx / "l.csv").write_bytes((fx / "labels.txt").read_bytes())
+        before = self._snapshot(fx)
+        argv = self._args(command, fx, fx / "l.json", labels=fx / "l.csv")
+        self._refused(argv, capsys, "--out", "--labels")
+        assert self._snapshot(fx) == before
+
+    def test_dot_spelling_of_an_input(self, fx, capsys, monkeypatch):
+        monkeypatch.chdir(fx.parent)
+        before = self._snapshot(fx)
+        argv = self._args("retrieve", Path("fx"), "./fx/../fx/./kb.json")
+        self._refused(argv, capsys, "--out", "--kb")
+        assert self._snapshot(fx) == before
+
+    def test_symlink_to_an_input(self, fx, tmp_path, capsys):
+        link = tmp_path / "proxies.emb"
+        link.symlink_to(fx / "images.emb")
+        before = self._snapshot(fx)
+        self._refused(self._args("learn", fx, link), capsys, "--out", "--images")
+        assert self._snapshot(fx) == before
+        assert link.is_symlink()
+
+    def test_fifo_input_still_runs(self, fx, tmp_path, capsys):
+        fifo = tmp_path / "images.fifo"
+        os.mkfifo(fifo)
+        blob = (fx / "images.emb").read_bytes()
+
+        def feed():
+            with open(fifo, "wb") as fh:
+                fh.write(blob)
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        out = tmp_path / "pred.csv"
+        code = main(self._args("classify", fx, out, images=fifo))
+        writer.join(timeout=10)
+        assert code == 0 and not writer.is_alive()
+        assert out.read_text().startswith("index,predicted_class_name\n")
+
+    def test_symlink_loop_input_is_one_data_error_line(self, fx, tmp_path, capsys):
+        loop = tmp_path / "loop.emb"
+        loop.symlink_to(loop)
+        assert main(self._args("classify", fx, tmp_path / "p.csv", images=loop)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error: ")
 
 
 class TestNumericEdges:

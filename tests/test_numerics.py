@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from proxyot.errors import DataError, UsageError
 from proxyot.numerics import (
+    _lse,
     as_matrix,
     cosine,
     kl_rows,
@@ -56,6 +58,44 @@ class TestLogSumExp:
             v = rng.uniform(-5, 5, size=6)
             assert log_sum_exp(v) > np.max(v)
         assert log_sum_exp([3.0, -np.inf, -np.inf]) == 3.0
+
+
+def lse_reference(a, axis):
+    """The two-select ``_lse``: a non-finite maximum is selected again at the end.
+
+    Kept frozen for :func:`proxyot.numerics._lse`, which drops that select
+    because the shifted sum already returns the maximum. The solver and
+    learner references import ``_lse`` itself, so only this test pins it.
+    """
+    mx = np.max(a, axis=axis, keepdims=True)
+    safe_mx = np.where(np.isfinite(mx), mx, 0.0)
+    with np.errstate(divide="ignore"):
+        out = safe_mx + np.log(np.sum(np.exp(a - safe_mx), axis=axis, keepdims=True))
+    out = np.where(np.isfinite(mx), out, mx)
+    return np.squeeze(out, axis=axis)
+
+
+LSE_ENTRIES = st.one_of(
+    st.floats(-800, 800),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-np.inf, np.inf, np.nan, 0.0, -0.0]),
+)
+
+
+class TestLseMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=6),
+               elements=LSE_ENTRIES),
+        st.sampled_from([0, 1]),
+    )
+    def test_bit_equal_on_any_entries(self, a, axis):
+        with np.errstate(all="ignore"):
+            got, want = _lse(a, axis), lse_reference(a, axis)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
 
 
 class TestSoftmaxRows:
