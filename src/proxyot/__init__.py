@@ -26,8 +26,6 @@ from .learner import (
     loss,
 )
 from .numerics import (
-    cosine,
-    kl_rows,
     l2_normalize_rows,
     log_sum_exp,
     softmax_rows,
@@ -70,8 +68,6 @@ __all__ = [
     "log_sum_exp",
     "softmax_rows",
     "l2_normalize_rows",
-    "cosine",
-    "kl_rows",
     "ALGORITHMS",
     "ClassMarginal",
     "SolverConfig",

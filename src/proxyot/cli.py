@@ -109,29 +109,41 @@ def _run(args):
     return report
 
 
-def _refuse_overwrites(args) -> None:
-    """Refuse a command whose output resolves to one of its inputs or to its other output.
+def _file_identity(path):
+    """``(st_dev, st_ino)`` of ``path``, or its ``os.path.realpath`` if it cannot be stat'ed.
 
-    Paths are compared after ``os.path.realpath`` (symlinks, ``.`` and ``..``); no
-    file is opened. ``Path.resolve`` would raise on a symlink loop, which instead
-    fails as a data error where it is read.
+    ``os.stat`` opens nothing, so a FIFO stays unread. A path with no stat (an
+    output not written yet, or a symlink loop, which fails where it is read)
+    is keyed by its resolved spelling.
+    """
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
+
+
+def _refuse_overwrites(args) -> None:
+    """Refuse a command whose output is one of its inputs or its other output.
+
+    Symlinks, hard links and ``.``/``..`` spellings of one file all match.
     """
     if getattr(args, "out", None) is None:
         return
-    named = {}  # resolved path -> how the message names it
+    named = {}  # file identity -> how the message names it
     for flag in ("images", "kb", "labels", "marginal"):
         path = getattr(args, flag, None)
         if path is not None:
-            named[os.path.realpath(path)] = f"--{flag} {path}"
+            named[_file_identity(path)] = f"--{flag} {path}"
     out = Path(args.out)
     writes = [(f"--out {out}", out)]
     if args.handler is _cmd_pipeline:
         writes.append((f"--out {out}: the predictions CSV", _predictions_csv_path(out)))
     for what, path in writes:
-        path = os.path.realpath(path)
-        if path in named:
-            raise UsageError(f"{what} would overwrite {named[path]}")
-        named[path] = "the report"  # only pipeline/eval write a second file
+        key = _file_identity(path)
+        if key in named:
+            raise UsageError(f"{what} would overwrite {named[key]}")
+        named[key] = "the report"  # only pipeline/eval write a second file
 
 
 def _cmd_pipeline(args) -> int:

@@ -1,9 +1,9 @@
-"""Dense float64 kernel: log-sum-exp, row softmax, row normalization, cosine, KL.
+"""Float64 input checks and the shared kernels: log-sum-exp, softmax, row normalization.
 
-Matrices are plain 2-D ``numpy.ndarray`` in C order and 64-bit floats; the
-helpers here are the only place the rest of the package does raw floating
-point. Every exponential goes through a max-shift so log-domain values may
-be -inf but never +inf or NaN.
+``as_matrix`` turns input into a 2-D float64 array with finite entries. The
+solvers, the learner and retrieval build on these helpers but also do their
+own arithmetic. Every exponential here goes through a max-shift, so
+log-domain values may be -inf but never +inf or NaN.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ __all__ = [
     "log_sum_exp",
     "softmax_rows",
     "l2_normalize_rows",
-    "cosine",
-    "kl_rows",
 ]
 
 
@@ -141,38 +139,3 @@ def l2_normalize_rows(m, copy: bool = True) -> np.ndarray:
             dst[odd] = rows / np.linalg.norm(rows, axis=1)[:, None]
     return out
 
-
-def cosine(a, b) -> float:
-    """Cosine similarity of two vectors; zero vectors are a data error."""
-    va = as_vector(a, "cosine argument a")
-    vb = as_vector(b, "cosine argument b")
-    if va.shape != vb.shape:
-        raise UsageError(f"cosine arguments differ in length: {va.size} vs {vb.size}")
-    na = np.linalg.norm(va)
-    nb = np.linalg.norm(vb)
-    if na == 0.0 or nb == 0.0:
-        raise DataError("cosine is undefined for a zero vector")
-    return float(np.dot(va, vb) / (na * nb))
-
-
-def kl_rows(p, q) -> np.ndarray:
-    """Row-wise KL divergence sum(p * (ln p - ln q)) with 0*ln(0) = 0.
-
-    Rows of both arguments must be probability vectors (sum 1 within 1e-6);
-    p may only put mass where q does.
-    """
-    pm = as_matrix(p, "kl p")
-    qm = as_matrix(q, "kl q")
-    if pm.shape != qm.shape:
-        raise UsageError(f"kl_rows shapes differ: {pm.shape} vs {qm.shape}")
-    for name, mat in (("p", pm), ("q", qm)):
-        bad = np.flatnonzero(np.abs(mat.sum(axis=1) - 1.0) > 1e-6)
-        if bad.size:
-            raise DataError(f"kl_rows {name} row {bad[0]} does not sum to 1")
-    support = pm > 0
-    if np.any(support & (qm <= 0)):
-        i, j = np.argwhere(support & (qm <= 0))[0]
-        raise DataError(f"kl_rows support violation at ({i}, {j}): p > 0 where q = 0")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(support, pm * (np.log(pm) - np.log(qm)), 0.0)
-    return terms.sum(axis=1)

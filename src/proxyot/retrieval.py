@@ -154,15 +154,19 @@ def mean_image_feature(images) -> np.ndarray:
 def score_descriptions(mean_feat, kb: KnowledgeBase, class_index: int) -> np.ndarray:
     """Cosine of the mean image feature against every description of one class."""
     feat = as_vector(mean_feat, "mean image feature")
+    if feat.size != kb.dim:
+        raise UsageError(
+            f"mean image feature has dim {feat.size} but the knowledge base has dim {kb.dim}"
+        )
     if not 0 <= class_index < kb.n_classes:
         raise UsageError(f"class index {class_index} out of range [0, {kb.n_classes})")
-    if np.linalg.norm(feat) == 0.0:
+    feat_norm = np.linalg.norm(feat)
+    if feat_norm == 0.0:
         raise DataError(
             "mean image feature is the zero vector; scores are undefined"
         )
     emb = kb.classes[class_index].embeddings
-    row_norms = np.linalg.norm(emb, axis=1)
-    return (emb @ feat) / (np.linalg.norm(feat) * row_norms)
+    return (emb @ feat) / (feat_norm * np.linalg.norm(emb, axis=1))
 
 
 def top_k(scores, k: int) -> np.ndarray:

@@ -136,9 +136,7 @@ class PseudoLabels:
     p: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=np.float64)
-        if p.ndim != 2:
-            raise UsageError("pseudo-labels must be a matrix")
+        p = as_matrix(self.p, "pseudo-labels")
         if np.any(p < 0):
             raise DataError("pseudo-labels contain a negative entry")
         bad = np.flatnonzero(np.abs(p.sum(axis=1) - 1.0) > 1e-9)

@@ -4,10 +4,12 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as the
 criteria execute. Tolerances are pinned here, not configurable.
 """
 
+import os
 import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,9 @@ from proxyot.solvers import (
     solve,
     stable_greenkhorn,
 )
+
+# `python -m proxyot` children import the package from this checkout, as the tests do
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
 
 BASE_SEED = 20250808
 A2_SEED = 424242  # instance family for the oracle-equivalence criterion
@@ -112,7 +117,7 @@ def test_a3_log_space_stability(tmp_path):
             [sys.executable, "-m", "proxyot", "bench-ot",
              "--images", str(fx / "images.emb"), "--kb", str(fx / "kb.json"),
              "--tau-ot", "0.001", "--algorithm", "sinkhorn_linear"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=CHILD_ENV,
         )
         assert proc.returncode == 3, proc.stderr
         assert "overflow" in proc.stderr
@@ -242,7 +247,7 @@ def test_a8_pipeline_determinism(fixture_dir, tmp_path):
                  "--labels", str(fixture_dir / "labels.txt"),
                  "--tau-ot", "0.05", "--max-iterations", "20000",
                  "--seed", "42", "--out", str(out)],
-                capture_output=True, text=True,
+                capture_output=True, text=True, env=CHILD_ENV,
             )
             assert proc.returncode == 0, proc.stderr
             outputs.append((out.read_bytes(), out.with_suffix(".csv").read_bytes()))

@@ -318,6 +318,19 @@ class TestOverwriteRefused:
         assert self._snapshot(fx) == before
         assert link.is_symlink()
 
+    def test_hard_link_to_an_input(self, fx, capsys):
+        link = fx / "hard.emb"
+        os.link(fx / "images.emb", link)
+        before = self._snapshot(fx)
+        self._refused(self._args("learn", fx, link), capsys, "--out", "--images")
+        assert self._snapshot(fx) == before
+
+    def test_predictions_csv_hard_linked_to_an_input(self, fx, capsys):
+        os.link(fx / "labels.txt", fx / "r.csv")
+        before = self._snapshot(fx)
+        self._refused(self._args("eval", fx, fx / "r.json"), capsys, "--out", "--labels")
+        assert self._snapshot(fx) == before
+
     def test_fifo_input_still_runs(self, fx, tmp_path, capsys):
         fifo = tmp_path / "images.fifo"
         os.mkfifo(fifo)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,6 +77,33 @@ class TestLoss:
         images, w, labels = random_problem(42)
         with pytest.raises(UsageError):
             loss(w, images[:, :4], labels, tau=0.5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 20),
+        k=st.integers(2, 6),
+        d=st.integers(1, 8),
+        one_hot=st.booleans(),
+        tau=st.sampled_from([0.01, 0.05, 0.2, 1.0]),
+    )
+    def test_matches_plain_python_mean_kl(self, seed, n, k, d, one_hot, tau):
+        images, labels, w, _ = _learn_instance(seed, n, k, d, one_hot)
+        want = _mean_kl_reference(images.tolist(), labels.p.tolist(), w.w.tolist(), tau)
+        assert loss(w, images, labels, tau) == pytest.approx(want, rel=1e-9)
+
+
+def _mean_kl_reference(images, labels, w, tau):
+    """Mean KL(p || softmax(x . w / tau)) over lists, with a ``math`` log-softmax."""
+    kls = []
+    for x, p in zip(images, labels):
+        logits = [math.fsum(a * b for a, b in zip(x, row)) / tau for row in w]
+        top = max(logits)
+        log_z = top + math.log(math.fsum(math.exp(z - top) for z in logits))
+        kls.append(
+            math.fsum(pj * (math.log(pj) - (z - log_z)) for pj, z in zip(p, logits) if pj > 0)
+        )
+    return math.fsum(kls) / len(kls)
 
 
 class TestGradient:

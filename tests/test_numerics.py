@@ -10,8 +10,6 @@ from proxyot.errors import DataError, UsageError
 from proxyot.numerics import (
     _lse,
     as_matrix,
-    cosine,
-    kl_rows,
     l2_normalize_rows,
     log_sum_exp,
     softmax_rows,
@@ -338,61 +336,3 @@ class TestL2NormalizeMatchesReference:
             as_matrix(m, "images")
         assert str(err.value) == f"images has non-finite entry at ({row}, 1): inf"
 
-
-class TestCosine:
-    def test_self_similarity_is_one(self):
-        v = np.array([0.3, -1.2, 2.0])
-        assert cosine(v, v) == pytest.approx(1.0, abs=1e-15)
-
-    def test_orthogonal_axes(self):
-        assert cosine([1.0, 0.0], [0.0, 1.0]) == 0.0
-
-    def test_antipodal(self):
-        v = np.array([0.5, 2.5, -1.0])
-        assert cosine(v, -v) == pytest.approx(-1.0, abs=1e-15)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(DataError):
-            cosine([0.0, 0.0], [1.0, 0.0])
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(UsageError):
-            cosine([1.0, 0.0], [1.0, 0.0, 0.0])
-
-    def test_range(self):
-        rng = np.random.default_rng(42)
-        for _ in range(100):
-            c = cosine(rng.standard_normal(8), rng.standard_normal(8))
-            assert -1.0 - 1e-12 <= c <= 1.0 + 1e-12
-
-
-class TestKlRows:
-    def test_identical_rows_give_zero(self):
-        p = np.array([[0.2, 0.3, 0.5], [0.7, 0.1, 0.2]])
-        np.testing.assert_allclose(kl_rows(p, p), 0.0, atol=1e-15)
-
-    def test_one_hot_against_uniform(self):
-        out = kl_rows([[1.0, 0.0]], [[0.5, 0.5]])
-        np.testing.assert_allclose(out, [LN2], atol=1e-15)
-
-    def test_frozen_derived_value(self):
-        # 0.75 ln 1.5 + 0.25 ln 0.5, 60-digit decimal arithmetic.
-        out = kl_rows([[0.75, 0.25]], [[0.5, 0.5]])
-        np.testing.assert_allclose(out, [0.13081203594113696], rtol=1e-14)
-
-    def test_support_violation_rejected(self):
-        with pytest.raises(DataError, match="support"):
-            kl_rows([[0.5, 0.5]], [[1.0, 0.0]])
-
-    def test_nonnegative_and_zero_iff_equal(self):
-        rng = np.random.default_rng(42)
-        for _ in range(50):
-            p = rng.dirichlet(np.ones(4), size=3)
-            q = rng.dirichlet(np.ones(4), size=3)
-            out = kl_rows(p, q)
-            assert np.all(out >= 0)
-        np.testing.assert_allclose(kl_rows(p, p), 0.0, atol=1e-14)
-
-    def test_non_stochastic_rows_rejected(self):
-        with pytest.raises(DataError):
-            kl_rows([[0.5, 0.4]], [[0.5, 0.5]])

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_kb, unit_rows
 
@@ -96,6 +100,31 @@ class TestScoreDescriptions:
         kb = make_kb(np.random.default_rng(42))
         with pytest.raises(UsageError):
             score_descriptions(np.ones(8), kb, 99)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 12),
+        n_descriptions=st.integers(1, 6),
+        scale=st.sampled_from([1e-6, 1.0, 1e6]),
+    )
+    def test_matches_plain_python_cosine(self, seed, dim, n_descriptions, scale):
+        rng = np.random.default_rng(seed)
+        kb = make_kb(rng, n_classes=2, n_descriptions=n_descriptions, dim=dim)
+        feat = scale * rng.standard_normal(dim)
+        for j, rec in enumerate(kb.classes):
+            scores = score_descriptions(feat, kb, j)
+            want = [_cosine_reference(feat.tolist(), row) for row in rec.embeddings.tolist()]
+            np.testing.assert_allclose(scores, want, rtol=0, atol=1e-12)
+            assert np.all((-1.0 <= scores) & (scores <= 1.0))
+
+
+def _cosine_reference(a, b):
+    """Cosine of two lists in plain Python, every sum correctly rounded."""
+    dot = math.fsum(x * y for x, y in zip(a, b))
+    norm_a = math.sqrt(math.fsum(x * x for x in a))
+    norm_b = math.sqrt(math.fsum(y * y for y in b))
+    return dot / (norm_a * norm_b)
 
 
 class TestTopK:
@@ -203,6 +232,11 @@ class TestRetrieve:
         kb = make_kb(rng, n_descriptions=4, dim=8)
         with pytest.raises(UsageError, match="k=9.*4 descriptions.*class_00"):
             retrieve(images, kb, 9)
+
+    def test_dim_mismatch_is_usage_error(self):
+        kb = make_kb(np.random.default_rng(42), dim=8)
+        with pytest.raises(UsageError, match="dim 5 but the knowledge base has dim 8"):
+            retrieve(np.eye(5)[:3], kb, 2)
 
     def test_selection_invariant_to_image_rescaling(self):
         rng = np.random.default_rng(42)

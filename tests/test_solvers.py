@@ -16,6 +16,7 @@ from proxyot.solvers import (
     _finish,
     ALGORITHMS,
     ClassMarginal,
+    PseudoLabels,
     SolverConfig,
     TransportPlan,
     entropic_objective,
@@ -636,3 +637,8 @@ class TestPseudoLabels:
         plan.log_p = np.array([[-np.inf, -np.inf]])
         with pytest.raises(DataError, match="row 0"):
             pseudo_labels(plan)
+
+    def test_non_finite_entry_named(self):
+        # NaN passes both the sign and the row-sum checks, so only the finite scan stops it
+        with pytest.raises(DataError, match=r"pseudo-labels has non-finite entry at \(0, 0\): nan"):
+            PseudoLabels(np.array([[np.nan, 1.0], [0.5, 0.5]]))
