@@ -50,7 +50,6 @@ from .solvers import (
     SolverConfig,
     TransportPlan,
     entropic_objective,
-    marginal_violations,
     pseudo_labels,
     sinkhorn_linear,
     sinkhorn_log,
@@ -77,7 +76,6 @@ __all__ = [
     "sinkhorn_log",
     "stable_greenkhorn",
     "solve",
-    "marginal_violations",
     "entropic_objective",
     "pseudo_labels",
     "ClassRecord",

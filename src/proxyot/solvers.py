@@ -4,10 +4,11 @@ All three solvers compute the same coupling: the unique maximizer of
 ``<M, P> + tau * H(P)`` over matrices with fixed row mass 1/N and column
 masses q. ``sinkhorn_linear`` scales P = exp(M/tau) directly and is the
 deliberately fragile baseline; ``sinkhorn_log`` performs the identical
-alternating normalization in log space; ``stable_greenkhorn`` greedily
-rescales only the single row or column with the worst absolute marginal
-violation, keeping those violations incrementally across updates, again
-entirely in log space, and is the default.
+alternating normalization in log space, one vectorized sweep over all rows
+and columns per iteration, and is the default; ``stable_greenkhorn``
+greedily rescales only the single row or column with the worst absolute
+marginal violation, keeping those violations incrementally across updates,
+again entirely in log space.
 
 Plans are stored in log domain (``log_p``); -inf encodes zero mass and is
 the only permitted non-finite value.
@@ -33,7 +34,6 @@ __all__ = [
     "sinkhorn_log",
     "stable_greenkhorn",
     "solve",
-    "marginal_violations",
     "entropic_objective",
     "pseudo_labels",
 ]
@@ -91,7 +91,7 @@ class SolverConfig:
     tau_ot: float = 0.01
     max_iterations: int = 100_000
     tolerance: float = 1e-6
-    algorithm: str = "stable_greenkhorn"
+    algorithm: str = "sinkhorn_log"
 
     def __post_init__(self):
         if not self.tau_ot > 0:
@@ -307,15 +307,22 @@ def stable_greenkhorn(m, cfg: SolverConfig, q: ClassMarginal) -> TransportPlan:
     the selected line meets its target mass exactly and the plan keeps the
     diagonal-scaling structure of the initialization. A column update is the
     row update on the transposed plan, with the roles of the row and column
-    sums, violations and targets swapped.
+    sums, violations and targets swapped. No stop test runs until every row
+    and every positive-mass column has been rescaled once: while some line
+    still holds its unscaled start and the violations are within tolerance,
+    the next such line is rescaled instead (rows first, lowest index first),
+    so no plan keeps an exp(m/tau) line as it started.
     """
     mat, qv = _check_inputs(m, q)
     n, _ = mat.shape
     row_target = 1.0 / n
     ln_row_target = -math.log(n)
-    log_p, ln_q, _ = _log_start(mat, qv, cfg.tau_ot)
+    log_p, ln_q, positive = _log_start(mat, qv, cfg.tau_ot)
     tol = cfg.tolerance
     iterations = 0
+    # Lines never rescaled; zero-mass columns are already emptied, so done.
+    row_unscaled, col_unscaled = np.ones(n, dtype=bool), positive.copy()
+    unscaled = n + int(positive.sum())
     # exp overflow, log(0) and inf - inf are all expected below; one errstate
     # per solve instead of one per update.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -330,22 +337,30 @@ def stable_greenkhorn(m, cfg: SolverConfig, q: ClassMarginal) -> TransportPlan:
             c = int(cv.argmax())
             worst_row = rv[r]
             worst_col = cv[c]
+            on_row = worst_row > worst_col
             if worst_row <= tol and worst_col <= tol:
-                # Incremental sums drift; confirm against fresh ones before stopping.
-                row_sums, col_sums, rv, cv = _line_sums(p, row_target, qv)
-                if rv.max() <= tol and cv.max() <= tol:
-                    break
-                continue
+                if unscaled:  # no stop test yet: rescale the next unscaled line
+                    on_row = bool(row_unscaled.any())
+                    r, c = int(row_unscaled.argmax()), int(col_unscaled.argmax())
+                else:
+                    # Incremental sums drift; confirm against fresh ones before stopping.
+                    row_sums, col_sums, rv, cv = _line_sums(p, row_target, qv)
+                    if rv.max() <= tol and cv.max() <= tol:
+                        break
+                    continue
             # A column is a row of the transposes. Pick each axis's state per update:
             # the refresh and the confirm step rebind the incremental vectors.
-            if worst_row > worst_col:
+            if on_row:
                 i, lp, pp, ln_target, target = r, log_p, p, ln_row_target, row_target
                 sums, v, crossed, crossed_v = row_sums, rv, col_sums, cv
-                crossed_target = qv
+                crossed_target, line_unscaled = qv, row_unscaled
             else:
                 i, lp, pp, ln_target, target = c, log_pt, pt, ln_q[c], qv[c]
                 sums, v, crossed, crossed_v = col_sums, cv, row_sums, rv
-                crossed_target = row_target
+                crossed_target, line_unscaled = row_target, col_unscaled
+            if line_unscaled[i]:
+                line_unscaled[i] = False
+                unscaled -= 1
             line = lp[i]
             lse = line.max()  # an all -inf or +inf line keeps its max, as in _lse
             if math.isfinite(lse):
@@ -379,11 +394,6 @@ ALGORITHMS = tuple(_SOLVERS)
 def solve(m, cfg: SolverConfig, q: ClassMarginal) -> TransportPlan:
     """Dispatch to the solver named by ``cfg.algorithm``."""
     return _SOLVERS[cfg.algorithm](m, cfg, q)
-
-
-def marginal_violations(plan: TransportPlan) -> tuple[float, float]:
-    """L-infinity distance of the plan's row and column sums from their targets."""
-    return _violations(np.exp(plan.log_p), plan.row_target, plan.col_target.q)
 
 
 def entropic_objective(plan: TransportPlan, m, tau: float) -> float:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from proxyot import io as pio
 from proxyot.cli import main
+from proxyot.solvers import SolverConfig
 
 
 @pytest.fixture(scope="module")
@@ -412,8 +413,10 @@ class TestNumericEdges:
     def test_capped_plan_with_overflowing_mass_is_numeric_error(
         self, cli_fixture, tmp_path, capsys
     ):
+        # greedy's premise: after one update, lines it never rescaled hold +inf mass
         code = self._stage(
-            cli_fixture, tmp_path, "plan", "--tau-ot", "0.001", "--max-iterations", "1"
+            cli_fixture, tmp_path, "plan", "--tau-ot", "0.001", "--max-iterations", "1",
+            "--algorithm", "stable_greenkhorn",
         )
         assert code == 3
         err = capsys.readouterr().err.splitlines()
@@ -683,14 +686,19 @@ class TestCapWarnings:
     def test_capped_stages_warn_once_each(
         self, cli_fixture, tmp_path, capsys, command, solver_line, learner_line
     ):
-        extra = ["--max-iterations", "1"] + (["--epochs", "1"] if command != "plan" else [])
+        # No single update or sweep of the default solver meets a tolerance of 0 here.
+        # At --tau-ot 0.05 the pseudo-labels are soft enough that one epoch moves the
+        # loss by more than loss_tolerance; at the default 0.01 one epoch does not.
+        extra = ["--max-iterations", "1", "--tolerance", "0", "--tau-ot", "0.05"]
+        extra += ["--epochs", "1"] if command != "plan" else []
         assert main(self._args(cli_fixture, tmp_path, command, extra)) == 0
         captured = capsys.readouterr()
         err = captured.err.splitlines()
         assert len(err) == solver_line + learner_line
         if solver_line:
-            assert err[0].startswith("warning: stable_greenkhorn did not converge in 1 iterations")
-            assert "violations (" in err[0] and "tolerance 1e-06" in err[0]
+            algorithm = SolverConfig().algorithm
+            assert err[0].startswith(f"warning: {algorithm} did not converge in 1 iterations")
+            assert "violations (" in err[0] and err[0].endswith(", tolerance 0")
         if learner_line:
             assert err[-1] == "warning: learning stopped at its cap of 1 epochs"
         assert "warning" not in captured.out
@@ -724,6 +732,19 @@ class TestCapWarnings:
         assert doc["iterations_used"] == 77
         assert doc["converged"] is True
         assert doc["final_row_violation"] <= 9.95100506571e-07
+        assert capsys.readouterr().err == ""
+
+    def test_greedy_rescales_every_line_before_its_first_stop(
+        self, fixture_dir, tmp_path, capsys
+    ):
+        """A tolerance the unscaled exp(m/tau) start already meets does not stop
+        greedy before each of the 300 rows and 5 columns was rescaled once."""
+        extra = ["--algorithm", "stable_greenkhorn", "--tolerance", "1e300"]
+        assert main(self._args(fixture_dir, tmp_path, "plan", extra)) == 0
+        doc = json.loads((tmp_path / "out").read_text())
+        assert doc["iterations_used"] >= 305
+        assert 0 <= doc["final_row_violation"] < 1
+        assert 0 <= doc["final_col_violation"] < 1
         assert capsys.readouterr().err == ""
 
 

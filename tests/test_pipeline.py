@@ -71,7 +71,7 @@ class TestRunModes:
         text = run(_spec(small_fixture, "kpl_text"))
         assert text.solver_diagnostics is None and text.learn_summary is None
         full = run(_spec(small_fixture, "kpl_full"))
-        assert full.solver_diagnostics["algorithm"] == "stable_greenkhorn"
+        assert full.solver_diagnostics["algorithm"] == "sinkhorn_log"
         assert full.learn_summary["epochs_run"] >= 1
 
     def test_zero_learning_rate_degenerates_to_text_mode(self, small_fixture):
@@ -112,7 +112,7 @@ class TestRunModes:
         cfg = report.config
         assert cfg["k"] == 3
         assert cfg["marginal"] == "uniform"
-        assert cfg["solver"]["algorithm"] == "stable_greenkhorn"
+        assert cfg["solver"]["algorithm"] == "sinkhorn_log"
         assert cfg["learn"]["momentum"] == 0.5
         assert cfg["normalize_images"] is True
 
@@ -120,6 +120,14 @@ class TestRunModes:
         a = run(_spec(small_fixture, "kpl_full")).to_json_dict()
         b = run(_spec(small_fixture, "kpl_full")).to_json_dict()
         assert json.dumps(a) == json.dumps(b)
+
+
+class TestDefaultConfiguration:
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_default_solver_converges_on_default_fixture(self, tmp_path, seed):
+        write_fixture(generate_fixture(seed, FixtureSpec()), tmp_path)
+        spec = RunSpec(mode="kpl_full", images=tmp_path / "images.emb", kb=tmp_path / "kb.json")
+        assert run(spec).solver_diagnostics["converged"] is True
 
 
 class TestRunErrors:

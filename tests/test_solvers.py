@@ -20,7 +20,6 @@ from proxyot.solvers import (
     SolverConfig,
     TransportPlan,
     entropic_objective,
-    marginal_violations,
     pseudo_labels,
     sinkhorn_linear,
     sinkhorn_log,
@@ -69,7 +68,7 @@ class TestClassMarginal:
 class TestSolverConfig:
     def test_defaults(self):
         cfg = SolverConfig()
-        assert cfg.algorithm == "stable_greenkhorn"
+        assert cfg.algorithm == "sinkhorn_log"
         assert cfg.max_iterations == 100_000
         assert cfg.tolerance == 1e-6
 
@@ -239,12 +238,55 @@ class TestStableGreenkhorn:
         plan = stable_greenkhorn(m, cfg, ClassMarginal.uniform(5))
         assert plan.iterations_used == 17
 
+    def test_start_within_tolerance_still_rescales_every_line(self):
+        # The unscaled start meets a tolerance of 1e300, so greedy rescales every
+        # row, then every column, once: one sinkhorn_log sweep, line by line.
+        m = random_instance(30, 5, BASE_SEED + 13)
+        cfg = SolverConfig(tau_ot=0.01, tolerance=1e300)
+        q = ClassMarginal.uniform(5)
+        plan = stable_greenkhorn(m, cfg, q)
+        sweep = sinkhorn_log(m, replace(cfg, max_iterations=1), q)
+        assert plan.iterations_used == 35
+        np.testing.assert_allclose(plan.log_p, sweep.log_p, rtol=1e-12, atol=0)
+
+    def test_zero_mass_column_needs_no_rescale(self):
+        m = random_instance(4, 3, BASE_SEED + 14)
+        cfg = SolverConfig(tau_ot=0.1, tolerance=1e300)
+        plan = stable_greenkhorn(m, cfg, ClassMarginal(np.array([0.5, 0.5, 0.0])))
+        assert plan.iterations_used == 4 + 2
+        np.testing.assert_array_equal(plan_matrix(plan)[:, 2], 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        k=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        tau=st.sampled_from([0.01, 0.1, 1.0]),
+        exponent=st.integers(-3, 300),
+        zero_mass=st.booleans(),
+    )
+    def test_no_entry_keeps_its_unscaled_start(self, n, k, seed, tau, exponent, zero_mass):
+        """After a line's last rescale its entries are at most its target, and
+        every line is rescaled before the first stop test, so no entry of the
+        plan exceeds 1; an unscaled exp(m/tau) entry with m > 0 would."""
+        rng = np.random.default_rng(seed)
+        m = rng.uniform(-1.0, 1.0, size=(n, k))
+        weights = rng.integers(0, 3, size=k) if zero_mass else np.ones(k)
+        if not weights.any():
+            weights[rng.integers(k)] = 1
+        cfg = SolverConfig(tau_ot=tau, tolerance=10.0**exponent)
+        plan = stable_greenkhorn(m, cfg, ClassMarginal.from_weights(weights))
+        assert plan.iterations_used >= n + np.count_nonzero(weights)
+        assert np.all(plan_matrix(plan) <= 1.0)
+
 
 def greedy_reference(m, cfg, q):
     """Reference greedy loop: every update rescans all row and column violations.
 
     Kept frozen for :func:`stable_greenkhorn`, which keeps the violations
-    incrementally and must give the same plan bit for bit.
+    incrementally and must give the same plan bit for bit. Its stop test waits
+    until every row and positive-mass column was rescaled once; until then a
+    within-tolerance plan rescales its lowest unscaled row, else column.
     """
     mat, qv = _check_inputs(m, q)
     n, _ = mat.shape
@@ -259,22 +301,30 @@ def greedy_reference(m, cfg, q):
         p = np.exp(log_p)
     row_sums = p.sum(axis=1)
     col_sums = p.sum(axis=0)
+    row_unscaled, col_unscaled = np.ones(n, dtype=bool), positive.copy()
     iterations = 0
     while iterations < cfg.max_iterations:
         rv = np.abs(row_sums - row_target)
         cv = np.abs(col_sums - qv)
         r = int(np.argmax(rv))
         c = int(np.argmax(cv))
+        on_row = rv[r] > cv[c]
         if rv[r] <= cfg.tolerance and cv[c] <= cfg.tolerance:
-            row_sums = p.sum(axis=1)
-            col_sums = p.sum(axis=0)
-            if (
-                np.max(np.abs(row_sums - row_target)) <= cfg.tolerance
-                and np.max(np.abs(col_sums - qv)) <= cfg.tolerance
-            ):
-                break
-            continue
-        if rv[r] > cv[c]:
+            if row_unscaled.any():
+                on_row, r = True, int(np.flatnonzero(row_unscaled)[0])
+            elif col_unscaled.any():
+                on_row, c = False, int(np.flatnonzero(col_unscaled)[0])
+            else:
+                row_sums = p.sum(axis=1)
+                col_sums = p.sum(axis=0)
+                if (
+                    np.max(np.abs(row_sums - row_target)) <= cfg.tolerance
+                    and np.max(np.abs(col_sums - qv)) <= cfg.tolerance
+                ):
+                    break
+                continue
+        if on_row:
+            row_unscaled[r] = False
             log_p[r, :] += ln_row_target - _lse(log_p[r, :], axis=0)
             new_line = np.exp(log_p[r, :])
             with np.errstate(invalid="ignore"):
@@ -285,6 +335,7 @@ def greedy_reference(m, cfg, q):
             if bad.any():
                 col_sums[bad] = p[:, bad].sum(axis=0)
         else:
+            col_unscaled[c] = False
             log_p[:, c] += ln_q[c] - _lse(log_p[:, c], axis=0)
             new_line = np.exp(log_p[:, c])
             with np.errstate(invalid="ignore"):
@@ -539,26 +590,42 @@ class TestSolverAgreement:
             np.testing.assert_allclose(p, ref, atol=1e-6, err_msg=name)
 
 
+def oracle_violations(plan):
+    """Plain-numpy L-infinity distance of the plan's line sums from their targets."""
+    p = np.exp(plan.log_p)
+    return (
+        float(np.max(np.abs(p.sum(axis=1) - plan.row_target))),
+        float(np.max(np.abs(p.sum(axis=0) - plan.col_target.q))),
+    )
+
+
 class TestMarginalViolations:
+    """Every solver reports the violations of the plan it returns."""
+
     def test_feasible_single_cell(self):
-        plan = sinkhorn_linear([[2.0]], SolverConfig(tau_ot=1.0), ClassMarginal.uniform(1))
-        assert marginal_violations(plan) == (0.0, 0.0)
+        for algorithm in ALGORITHMS:
+            cfg = SolverConfig(tau_ot=1.0, algorithm=algorithm)
+            plan = solve([[2.0]], cfg, ClassMarginal.uniform(1))
+            assert oracle_violations(plan) == (0.0, 0.0), algorithm
+            assert (plan.final_row_violation, plan.final_col_violation) == (0.0, 0.0), algorithm
 
     def test_single_row_uniform(self):
-        plan = sinkhorn_log(
-            [[0.4, 0.4]], SolverConfig(tau_ot=1.0), ClassMarginal.uniform(2)
-        )
-        rv, cv = marginal_violations(plan)
-        assert rv <= 1e-15 and cv <= 1e-15
+        for algorithm in ALGORITHMS:
+            cfg = SolverConfig(tau_ot=1.0, algorithm=algorithm)
+            plan = solve([[0.4, 0.4]], cfg, ClassMarginal.uniform(2))
+            rv, cv = oracle_violations(plan)
+            assert rv <= 1e-15 and cv <= 1e-15, algorithm
+            assert plan.final_row_violation <= 1e-15, algorithm
+            assert plan.final_col_violation <= 1e-15, algorithm
 
     def test_reported_violations_match_fresh_call(self):
         m = random_instance(12, 6, BASE_SEED + 8)
-        for algorithm in ("sinkhorn_linear", "sinkhorn_log", "stable_greenkhorn"):
+        for algorithm in ALGORITHMS:
             cfg = SolverConfig(tau_ot=0.2, max_iterations=300, tolerance=1e-8, algorithm=algorithm)
             plan = solve(m, cfg, ClassMarginal.uniform(6))
-            rv, cv = marginal_violations(plan)
-            assert abs(rv - plan.final_row_violation) <= 1e-12
-            assert abs(cv - plan.final_col_violation) <= 1e-12
+            rv, cv = oracle_violations(plan)
+            assert abs(rv - plan.final_row_violation) <= 1e-12, algorithm
+            assert abs(cv - plan.final_col_violation) <= 1e-12, algorithm
 
 
 class TestEntropicObjective:
