@@ -5,6 +5,14 @@ softmax distribution induced by the weights over image embeddings. Descent
 is full-batch gradient descent with momentum; after every step each weight
 row is projected back onto the unit sphere so logits stay on the cosine
 scale the temperature assumes.
+
+The loss is computed as (sum p log p - <P^T X, W> / tau + r . lse) / N,
+where r = P 1 and lse is each image's log-sum-exp of its logits W x / tau,
+and the gradient as (Q X - P^T X) / (N tau) with Q the K x N softmax. The
+terms of P alone are taken once per call, so an epoch makes one logits
+matmul, one exp over one K x N buffer and one Q X. The form adds and
+subtracts terms of size ~1/tau, so a loss at a fixed point, 0 exactly, may
+read a few ulps below 0.
 """
 
 from __future__ import annotations
@@ -15,7 +23,6 @@ import numpy as np
 
 from .errors import DataError, NumericError, UsageError
 from .numerics import _BLOCK_ROWS, _finite_settings, as_matrix, l2_normalize_rows
-from .numerics import log_softmax_rows
 from .solvers import PseudoLabels
 
 __all__ = [
@@ -88,6 +95,8 @@ def _validated(w: np.ndarray, images, labels: PseudoLabels, tau: float) -> np.nd
         raise UsageError(f"tau must be positive, got {tau}")
     x = as_matrix(images, "image embeddings")
     (n, d), (k, dw) = x.shape, w.shape
+    if n == 0:
+        raise UsageError("image embeddings has no rows: the loss is a mean over images")
     if dw != d:
         raise UsageError(f"images have dim {d} but proxies have dim {dw}")
     if labels.p.shape != (n, k):
@@ -97,40 +106,53 @@ def _validated(w: np.ndarray, images, labels: PseudoLabels, tau: float) -> np.nd
     return x
 
 
-def _logits(w: np.ndarray, x: np.ndarray, tau: float) -> np.ndarray:
-    """x @ w.T, after checking that x @ w.T / tau is finite; a denormal tau breaks it.
+def _objective(x: np.ndarray, p: np.ndarray, tau: float):
+    """The function w -> (:func:`loss`, :func:`gradient`) over validated inputs.
 
-    Only the largest magnitude can overflow, and Python float division
-    overflows to inf without a warning.
+    The terms of P alone are taken here, once. Each evaluation fills one
+    K x N buffer with Z = W X^T, then exp((Z - top) / tau) with top each
+    image's largest logit, then Q.
     """
-    logits = x @ w.T
-    largest = max(float(logits.max(initial=0.0)), -float(logits.min(initial=0.0)))
-    if not np.isfinite(largest / tau):
-        raise NumericError(
-            f"x @ w.T / tau_learn overflows (largest |x @ w.T| = {largest:.6g}, "
-            f"tau_learn={tau:.6g}); rerun with a larger --tau-learn"
-        )
-    return logits
+    n, k = p.shape
+    p_log_p = float(np.vdot(p, np.log(p, out=np.zeros_like(p), where=p > 0)))
+    r = p.sum(axis=1)
+    ptx = p.T @ x
+    buffer = np.empty((k, n))
 
+    def evaluate(w: np.ndarray) -> tuple[float, np.ndarray]:
+        z = np.matmul(w, x.T, out=buffer)
+        top = z.max(axis=0)  # per image
+        # only the largest magnitude can overflow, and Python float division
+        # overflows to inf without a warning; a denormal tau breaks it
+        largest = max(float(top.max(initial=0.0)), -float(z.min(initial=0.0)))
+        if not np.isfinite(largest / tau):
+            raise NumericError(
+                f"x @ w.T / tau_learn overflows (largest |x @ w.T| = {largest:.6g}, "
+                f"tau_learn={tau:.6g}); rerun with a larger --tau-learn"
+            )
+        # just inside tau's range a shifted logit, the loss or the gradient can
+        # still overflow; the caller rejects a loss or step that is not finite
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            z -= top
+            z /= tau
+            np.exp(z, out=z)
+            total = z.sum(axis=0)
+            lse = top / tau + np.log(total)
+            z /= total
+            value = (p_log_p - np.vdot(ptx, w) / tau + r @ lse) / n
+            return float(value), (z @ x - ptx) / (n * tau)
 
-def _objective(w: np.ndarray, x: np.ndarray, p: np.ndarray, tau: float):
-    """(:func:`loss`, :func:`gradient`) of validated inputs from one logits pass."""
-    # just inside tau's range the log-softmax, the loss sum or the gradient can
-    # still overflow; the caller rejects a loss or step that is not finite
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        log_q = log_softmax_rows(_logits(w, x, tau), tau)
-        terms = np.where(p > 0, p * (np.log(p) - log_q), 0.0)
-        return float(terms.sum() / len(x)), (np.exp(log_q) - p).T @ x / (len(x) * tau)
+    return evaluate
 
 
 def loss(w: ProxyWeights, images, labels: PseudoLabels, tau: float) -> float:
     """Mean KL(labels || softmax(images @ w.T / tau)) over the dataset."""
-    return _objective(w.w, _validated(w.w, images, labels, tau), labels.p, tau)[0]
+    return _objective(_validated(w.w, images, labels, tau), labels.p, tau)(w.w)[0]
 
 
 def gradient(w: ProxyWeights, images, labels: PseudoLabels, tau: float) -> np.ndarray:
-    """Analytic K x d gradient of :func:`loss`: (1/(N tau)) (P - Q)^T X."""
-    return _objective(w.w, _validated(w.w, images, labels, tau), labels.p, tau)[1]
+    """Analytic K x d gradient of :func:`loss`: (1/(N tau)) (Q - P)^T X, Q the softmax."""
+    return _objective(_validated(w.w, images, labels, tau), labels.p, tau)(w.w)[1]
 
 
 def learn(
@@ -150,7 +172,8 @@ def learn(
     settings = f"learning_rate={cfg.learning_rate}, tau_learn={cfg.tau_learn}"
     velocity = np.zeros_like(w)
     # each evaluation gives this step's loss and the next step's gradient
-    current, g = _objective(w, x, labels.p, cfg.tau_learn)
+    objective = _objective(x, labels.p, cfg.tau_learn)
+    current, g = objective(w)
     if not np.isfinite(current):
         raise NumericError(f"initial loss is {current!r} ({settings})")
     losses = [current]
@@ -165,7 +188,7 @@ def learn(
             w = l2_normalize_rows(w + velocity)
         except DataError as exc:  # the step cancelled a row of w exactly
             raise NumericError(f"step diverged at epoch {epoch} ({settings}): {exc}") from None
-        current, g = _objective(w, x, labels.p, cfg.tau_learn)
+        current, g = objective(w)
         if not np.isfinite(current):
             raise NumericError(f"loss became {current!r} at epoch {epoch} ({settings})")
         losses.append(current)

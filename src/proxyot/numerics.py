@@ -1,9 +1,11 @@
 """Float64 input checks and the shared kernels: log-sum-exp, softmax, row normalization.
 
 ``as_matrix`` turns input into a 2-D float64 array with finite entries. The
-solvers, the learner and retrieval build on these helpers but also do their
-own arithmetic. Every exponential here goes through a max-shift, so
-log-domain values may be -inf but never +inf or NaN.
+solvers and retrieval build on these helpers but also do their own
+arithmetic; the learner takes only the checks and row normalization from
+here and computes its softmax over K x N logits itself. Every exponential
+here goes through a max-shift, so log-domain values may be -inf but never
++inf or NaN.
 """
 
 from __future__ import annotations
@@ -95,12 +97,6 @@ def softmax_rows(m, tau: float) -> np.ndarray:
     shifted = (mat - mat.max(axis=1, keepdims=True)) / tau
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
-
-
-def log_softmax_rows(m: np.ndarray, tau: float) -> np.ndarray:
-    """Row-wise log(softmax(m/tau)); unchecked hot path used by the learner."""
-    scaled = m / tau
-    return scaled - _lse(scaled, axis=1)[:, None]
 
 
 # Below this norm the squared entries summed by np.linalg.norm are subnormal or

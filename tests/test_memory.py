@@ -1,4 +1,5 @@
-"""Memory bounds of ingest: the images are held once from file to prediction.
+"""Memory bounds: ingest holds the images once from file to prediction, and
+learning holds about one N x K array beside its inputs.
 
 Peaks come from ``tracemalloc``, which sees numpy's array buffers, and count
 only what the measured call allocates.
@@ -13,8 +14,9 @@ import pytest
 from conftest import unit_rows
 
 from proxyot import io as pio
-from proxyot.learner import ProxyWeights, classify
+from proxyot.learner import LearnConfig, ProxyWeights, classify, learn
 from proxyot.pipeline import RunSpec, load
+from proxyot.solvers import PseudoLabels
 
 N, D = 40000, 128
 
@@ -52,3 +54,16 @@ def test_classify_peak_does_not_grow_with_the_images():
     half = _peak_bytes(classify, images[:N], w)
     full = _peak_bytes(classify, images, w)
     assert abs(full - half) <= 0.1 * half, f"peak {half} bytes at {N} rows, {full} at {2 * N}"
+
+
+def test_learn_peak_is_bounded_in_logits_arrays():
+    """One K x N buffer serves every epoch; the label terms are taken once."""
+    k = 20
+    rng = np.random.default_rng(2)
+    images = unit_rows(rng, (N, 64))
+    labels = PseudoLabels(rng.dirichlet(np.ones(k), size=N))
+    init = ProxyWeights(unit_rows(rng, (k, 64)))
+    cfg = LearnConfig(max_epochs=5, loss_tolerance=0.0)
+    logits = N * k * 8
+    peak = _peak_bytes(learn, images, labels, init, cfg)
+    assert peak <= 2.5 * logits, f"peak {peak / logits:.2f}x an N x K float64 array"
