@@ -27,7 +27,6 @@ from .learner import (
 )
 from .numerics import (
     l2_normalize_rows,
-    log_sum_exp,
     softmax_rows,
 )
 from .pipeline import MODES, RunReport, RunSpec, accuracy, bench_solvers, run
@@ -64,7 +63,6 @@ __all__ = [
     "DataError",
     "NumericError",
     "NumericOverflowError",
-    "log_sum_exp",
     "softmax_rows",
     "l2_normalize_rows",
     "ALGORITHMS",

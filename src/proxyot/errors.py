@@ -40,7 +40,5 @@ class NumericOverflowError(NumericError):
     """A transport solve left the float range.
 
     Raised when linear-domain scaling overflows, which a log-domain solver
-    would survive; when m/tau overflows, which every solver hits; and when a
-    greedy solve is capped before every line was rescaled, so its plan mass
-    overflows.
+    would survive, and when m/tau overflows, which every solver hits.
     """

@@ -107,6 +107,8 @@ def _finite(draw: np.ndarray, setting: str) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")  # a draw that overflows is rejected below
 def generate_fixture(seed: int, spec: FixtureSpec) -> Fixture:
     """Draw a complete fixture (images, labels, knowledge base) from one seed."""
+    if seed < 0:
+        raise UsageError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     n, k, d = spec.n_images, spec.n_classes, spec.dim
 

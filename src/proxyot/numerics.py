@@ -17,7 +17,6 @@ from .errors import DataError, UsageError
 __all__ = [
     "as_matrix",
     "as_vector",
-    "log_sum_exp",
     "softmax_rows",
     "l2_normalize_rows",
 ]
@@ -69,20 +68,6 @@ def _lse(a: np.ndarray, axis: int) -> np.ndarray:
     with np.errstate(divide="ignore"):
         out = safe_mx + np.log(np.sum(np.exp(a - safe_mx), axis=axis, keepdims=True))
     return np.squeeze(out, axis=axis)
-
-
-def log_sum_exp(v) -> float:
-    """log(sum(exp(v))) for a log-domain vector, stable under large magnitudes.
-
-    Entries may be -inf (absorbing); +inf and NaN are rejected. Returns -inf
-    iff every entry is -inf.
-    """
-    arr = as_vector(v, "log_sum_exp input")
-    if arr.size == 0:
-        raise UsageError("log_sum_exp requires a nonempty vector")
-    if np.any(np.isnan(arr)) or np.any(arr == np.inf):
-        raise DataError("log_sum_exp input must lie in [-inf, finite]")
-    return float(_lse(arr, axis=0))
 
 
 def softmax_rows(m, tau: float) -> np.ndarray:

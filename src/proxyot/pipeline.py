@@ -115,6 +115,8 @@ def accuracy(pred, gold) -> tuple[float, dict[int, float]]:
 
 
 def _resolved_config(spec: RunSpec) -> dict:
+    """The run's settings; solver and learner settings only for the mode that uses them."""
+    solves = spec.mode == "kpl_full"
     return {
         "images": str(spec.images),
         "kb": str(spec.kb),
@@ -123,8 +125,8 @@ def _resolved_config(spec: RunSpec) -> dict:
         "k": spec.k,
         "normalize_images": True,
         "seed": spec.seed,
-        "solver": {"algorithm": spec.solver.algorithm, **asdict(spec.solver)},
-        "learn": asdict(spec.learn),
+        "solver": {"algorithm": spec.solver.algorithm, **asdict(spec.solver)} if solves else None,
+        "learn": asdict(spec.learn) if solves else None,
     }
 
 

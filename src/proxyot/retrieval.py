@@ -202,10 +202,16 @@ def build_text_proxies(kb: KnowledgeBase, selection: RetrievalResult) -> ProxyWe
             f"selection covers {len(selection.selected)} classes, "
             f"knowledge base has {kb.n_classes}"
         )
-    rows = [
-        rec.embeddings[idx].mean(axis=0)
-        for rec, idx in zip(kb.classes, selection.selected)
-    ]
+    rows = []
+    for rec, idx in zip(kb.classes, selection.selected):
+        idx = np.asarray(idx)
+        n = len(rec.embeddings)
+        if idx.dtype.kind not in "iu" or np.any((idx < 0) | (idx >= n)):
+            raise UsageError(
+                f"class {rec.name!r}: selected indices {idx.tolist()} are not "
+                f"integers in [0, {n})"
+            )
+        rows.append(rec.embeddings[idx].mean(axis=0))
     return ProxyWeights(l2_normalize_rows(np.stack(rows)))
 
 

@@ -6,9 +6,9 @@ masses q. ``sinkhorn_linear`` scales P = exp(M/tau) directly and is the
 deliberately fragile baseline; ``sinkhorn_log`` performs the identical
 alternating normalization in log space, one vectorized sweep over all rows
 and columns per iteration, and is the default; ``stable_greenkhorn``
-greedily rescales only the single row or column with the worst absolute
-marginal violation, keeping those violations incrementally across updates,
-again entirely in log space.
+starts from the row-normalized kernel, then greedily rescales only the single
+row or column with the worst absolute marginal violation, keeping those
+violations incrementally across updates, again entirely in log space.
 
 Plans are stored in log domain (``log_p``); -inf encodes zero mass and is
 the only permitted non-finite value.
@@ -181,13 +181,7 @@ def _finish(
     stop test saw: exp(log_p), or for ``sinkhorn_linear`` the p that log_p is log of."""
     assert not np.any(np.isnan(log_p)), "internal error: NaN in transport plan"
     assert not np.any(log_p == np.inf), "internal error: +inf in transport plan"
-    with np.errstate(over="ignore"):  # a line never rescaled may still hold +inf mass
-        rv, cv = _violations(p, row_target, q.q)
-    if not (math.isfinite(rv) and math.isfinite(cv)):
-        raise NumericOverflowError(
-            f"plan mass overflows after {iterations} iterations: some line was never "
-            "rescaled; rerun with a higher --max-iterations"
-        )
+    rv, cv = _violations(p, row_target, q.q)
     return TransportPlan(
         log_p=log_p,
         row_target=row_target,
@@ -298,88 +292,60 @@ def sinkhorn_log(m, cfg: SolverConfig, q: ClassMarginal) -> TransportPlan:
 def stable_greenkhorn(m, cfg: SolverConfig, q: ClassMarginal) -> TransportPlan:
     """Greedy single-line rescaling in log space, one line update per iteration.
 
-    Starts from log P = m/tau. The absolute marginal violation of every row
-    and column is kept incrementally: an update rewrites its own line's
-    violation and recomputes the crossed ones. Each iteration rescales only
-    the worst line: the argmax row if the worst row beats the worst column,
-    otherwise the argmax column (ties go to the column; index ties to the
-    lowest index). The rescale adds a constant to the line in log space, so
-    the selected line meets its target mass exactly and the plan keeps the
-    diagonal-scaling structure of the initialization. A column update is the
-    row update on the transposed plan, with the roles of the row and column
-    sums, violations and targets swapped. No stop test runs until every row
-    and every positive-mass column has been rescaled once: while some line
-    still holds its unscaled start and the violations are within tolerance,
-    the next such line is rescaled instead (rows first, lowest index first),
-    so no plan keeps an exp(m/tau) line as it started.
+    Starts from log P = m/tau with every row rescaled to mass 1/N at once, the
+    row half of a :func:`sinkhorn_log` sweep; ``iterations_used`` counts only
+    the updates after that start. Every entry is then at most 1/N, and at most
+    1 after any update, so no line ever holds +inf mass. The absolute marginal
+    violation of every row and column is kept incrementally: an update rewrites
+    its own line's violation and recomputes the crossed ones. Each iteration
+    rescales only the worst line: the argmax row if the worst row beats the
+    worst column, otherwise the argmax column (ties go to the column; index
+    ties to the lowest index). The rescale adds a constant to the line in log
+    space, so the selected line meets its target mass exactly and the plan
+    keeps the diagonal-scaling structure of the initialization. A column
+    update is the row update on the transposed plan, with the roles of the row
+    and column sums, violations and targets swapped.
     """
     mat, qv = _check_inputs(m, q)
     n, _ = mat.shape
     row_target = 1.0 / n
     ln_row_target = -math.log(n)
-    log_p, ln_q, positive = _log_start(mat, qv, cfg.tau_ot)
+    log_p, ln_q, _ = _log_start(mat, qv, cfg.tau_ot)
+    log_p += (ln_row_target - _lse(log_p, axis=1))[:, None]
     tol = cfg.tolerance
     iterations = 0
-    # Lines never rescaled; zero-mass columns are already emptied, so done.
-    row_unscaled, col_unscaled = np.ones(n, dtype=bool), positive.copy()
-    unscaled = n + int(positive.sum())
-    # exp overflow, log(0) and inf - inf are all expected below; one errstate
-    # per solve instead of one per update.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # p stays exactly exp(log_p); +inf entries are legal until the first
-        # rescale of their line and the crossed sums are repaired on the fly.
-        p = np.exp(log_p)
-        log_pt, pt = log_p.T, p.T  # views: log_p and p are only written in place
-        while iterations < cfg.max_iterations:
-            if iterations % _REFRESH_EVERY == 0:  # build, then rebuild as sums drift
-                row_sums, col_sums, rv, cv = _line_sums(p, row_target, qv)
-            r = int(rv.argmax())
-            c = int(cv.argmax())
-            worst_row = rv[r]
-            worst_col = cv[c]
-            on_row = worst_row > worst_col
-            if worst_row <= tol and worst_col <= tol:
-                if unscaled:  # no stop test yet: rescale the next unscaled line
-                    on_row = bool(row_unscaled.any())
-                    r, c = int(row_unscaled.argmax()), int(col_unscaled.argmax())
-                else:
-                    # Incremental sums drift; confirm against fresh ones before stopping.
-                    row_sums, col_sums, rv, cv = _line_sums(p, row_target, qv)
-                    if rv.max() <= tol and cv.max() <= tol:
-                        break
-                    continue
-            # A column is a row of the transposes. Pick each axis's state per update:
-            # the refresh and the confirm step rebind the incremental vectors.
-            if on_row:
-                i, lp, pp, ln_target, target = r, log_p, p, ln_row_target, row_target
-                sums, v, crossed, crossed_v = row_sums, rv, col_sums, cv
-                crossed_target, line_unscaled = qv, row_unscaled
-            else:
-                i, lp, pp, ln_target, target = c, log_pt, pt, ln_q[c], qv[c]
-                sums, v, crossed, crossed_v = col_sums, cv, row_sums, rv
-                crossed_target, line_unscaled = row_target, col_unscaled
-            if line_unscaled[i]:
-                line_unscaled[i] = False
-                unscaled -= 1
-            line = lp[i]
-            lse = line.max()  # an all -inf or +inf line keeps its max, as in _lse
-            if math.isfinite(lse):
-                lse += np.log(np.exp(line - lse).sum())
-            line += ln_target - lse
-            new_line = np.exp(line)
-            crossed += new_line - pp[i]
-            pp[i] = new_line
-            sums[i] = new_line.sum()
-            v[i] = abs(sums[i] - target)
-            # A row holding a +inf entry of p has a +inf sum, so the worst row is
-            # +inf while any is left. Rescaled lines are finite, so after that no
-            # crossed sum can meet inf - inf and the NaN repair is skipped.
-            if worst_row == np.inf:
-                bad = np.isnan(crossed)
-                if bad.any():
-                    crossed[bad] = pp[:, bad].sum(axis=0)
-            np.abs(np.subtract(crossed, crossed_target, out=crossed_v), out=crossed_v)
-            iterations += 1
+    p = np.exp(log_p)  # stays exactly exp(log_p)
+    log_pt, pt = log_p.T, p.T  # views: log_p and p are only written in place
+    while iterations < cfg.max_iterations:
+        if iterations % _REFRESH_EVERY == 0:  # build, then rebuild as sums drift
+            row_sums, col_sums, rv, cv = _line_sums(p, row_target, qv)
+        r = int(rv.argmax())
+        c = int(cv.argmax())
+        if rv[r] <= tol and cv[c] <= tol:
+            # Incremental sums drift; confirm against fresh ones before stopping.
+            row_sums, col_sums, rv, cv = _line_sums(p, row_target, qv)
+            if rv.max() <= tol and cv.max() <= tol:
+                break
+            continue
+        # A column is a row of the transposes. Pick each axis's state per update:
+        # the refresh and the confirm step rebind the incremental vectors.
+        if rv[r] > cv[c]:
+            i, lp, pp, ln_target, target = r, log_p, p, ln_row_target, row_target
+            sums, v, crossed, crossed_v, crossed_target = row_sums, rv, col_sums, cv, qv
+        else:
+            i, lp, pp, ln_target, target = c, log_pt, pt, ln_q[c], qv[c]
+            sums, v, crossed, crossed_v, crossed_target = col_sums, cv, row_sums, rv, row_target
+        line = lp[i]
+        lse = line.max()
+        lse += np.log(np.exp(line - lse).sum())
+        line += ln_target - lse
+        new_line = np.exp(line)
+        crossed += new_line - pp[i]
+        pp[i] = new_line
+        sums[i] = new_line.sum()
+        v[i] = abs(sums[i] - target)
+        np.abs(np.subtract(crossed, crossed_target, out=crossed_v), out=crossed_v)
+        iterations += 1
     return _finish(log_p, p, row_target, q, iterations)
 
 

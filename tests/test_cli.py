@@ -410,32 +410,31 @@ class TestNumericEdges:
         assert len(err) == 1 and err[0].startswith("numeric error: m/tau overflows")
 
     @pytest.mark.filterwarnings("error")
-    def test_capped_plan_with_overflowing_mass_is_numeric_error(
-        self, cli_fixture, tmp_path, capsys
-    ):
-        # greedy's premise: after one update, lines it never rescaled hold +inf mass
+    def test_capped_greedy_plan_at_tiny_tau_warns(self, cli_fixture, tmp_path, capsys):
+        # exp(m/tau) overflows here, but greedy starts from the row-normalized plan,
+        # so a plan capped after one update is finite and merely unconverged
         code = self._stage(
             cli_fixture, tmp_path, "plan", "--tau-ot", "0.001", "--max-iterations", "1",
             "--algorithm", "stable_greenkhorn",
         )
-        assert code == 3
+        assert code == 0
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("numeric error: plan mass overflows")
-        assert "after 1 iterations" in err[0] and "--max-iterations" in err[0]
-        assert not (tmp_path / "out").exists()
+        assert len(err) == 1
+        assert err[0].startswith("warning: stable_greenkhorn did not converge in 1 iterations")
+        doc = json.loads((tmp_path / "out").read_text())
+        assert doc["iterations_used"] == 1 and doc["converged"] is False
+        assert 0 < doc["final_row_violation"] < 1 and 0 < doc["final_col_violation"] < 1
 
     @pytest.mark.filterwarnings("error")
-    def test_bench_ot_reports_overflowing_mass(self, cli_fixture, tmp_path, capsys):
+    def test_bench_ot_reports_capped_greedy_at_tiny_tau(self, cli_fixture, tmp_path, capsys):
         code = self._stage(
             cli_fixture, tmp_path, "bench-ot", "--tau-ot", "0.001",
             "--max-iterations", "1", "--algorithm", "stable_greenkhorn",
         )
-        assert code == 3
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert err[0].startswith("stable_greenkhorn: plan mass overflows after 1 iterations")
+        assert code == 0
+        assert capsys.readouterr().err == ""
         rows = json.loads((tmp_path / "out").read_text())
-        assert rows[0]["status"] == "numeric_overflow"
+        assert rows[0]["status"] == "max_iterations" and rows[0]["iterations"] == 1
 
 
 class TestBadSettingsAndData:
@@ -614,6 +613,13 @@ class TestGenFixture:
         assert main(["gen-fixture", "--out", str(tmp_path / "fx")]) == 1
         assert "--seed" in capsys.readouterr().err
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "fx"
+        assert main(["gen-fixture", "--seed", "-1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["usage error: seed must be a non-negative integer, got -1"]
+        assert not out.exists()
+
     def test_writes_all_files(self, cli_fixture):
         for name in ("images.emb", "labels.txt", "kb.json", "manifest.json"):
             assert (cli_fixture / name).exists()
@@ -734,17 +740,17 @@ class TestCapWarnings:
         assert doc["final_row_violation"] <= 9.95100506571e-07
         assert capsys.readouterr().err == ""
 
-    def test_greedy_rescales_every_line_before_its_first_stop(
+    def test_greedy_start_within_tolerance_makes_no_update(
         self, fixture_dir, tmp_path, capsys
     ):
-        """A tolerance the unscaled exp(m/tau) start already meets does not stop
-        greedy before each of the 300 rows and 5 columns was rescaled once."""
+        """A tolerance the row-normalized start already meets stops greedy before
+        its first update, with every row at 1/300 to rounding."""
         extra = ["--algorithm", "stable_greenkhorn", "--tolerance", "1e300"]
         assert main(self._args(fixture_dir, tmp_path, "plan", extra)) == 0
         doc = json.loads((tmp_path / "out").read_text())
-        assert doc["iterations_used"] >= 305
-        assert 0 <= doc["final_row_violation"] < 1
-        assert 0 <= doc["final_col_violation"] < 1
+        assert doc["iterations_used"] == 0
+        assert 0 <= doc["final_row_violation"] <= 1e-14  # rounding alone: 3e-12 of 1/300
+        assert 0 < doc["final_col_violation"] < 1
         assert capsys.readouterr().err == ""
 
 

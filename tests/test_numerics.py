@@ -11,35 +11,30 @@ from proxyot.numerics import (
     _lse,
     as_matrix,
     l2_normalize_rows,
-    log_sum_exp,
     softmax_rows,
 )
 
 LN2 = 0.6931471805599453
 
 
+def lse(v):
+    """``_lse`` of one vector, as a float."""
+    return float(_lse(np.asarray(v, dtype=np.float64), axis=0))
+
+
 class TestLogSumExp:
     def test_two_equal_terms(self):
-        assert log_sum_exp([0.0, 0.0]) == pytest.approx(LN2, abs=1e-15)
+        assert lse([0.0, 0.0]) == pytest.approx(LN2, abs=1e-15)
 
     def test_no_overflow_at_large_magnitude(self):
-        assert log_sum_exp([1000.0, 1000.0]) == pytest.approx(1000.0 + LN2, abs=1e-12)
+        assert lse([1000.0, 1000.0]) == pytest.approx(1000.0 + LN2, abs=1e-12)
+        assert lse([-1000.0, -1000.0]) == pytest.approx(-1000.0 + LN2, abs=1e-12)
 
     def test_neg_inf_is_absorbing(self):
-        assert log_sum_exp([0.0, -np.inf]) == 0.0
+        assert lse([0.0, -np.inf]) == 0.0
 
     def test_all_neg_inf_gives_neg_inf(self):
-        assert log_sum_exp([-np.inf, -np.inf]) == -np.inf
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(UsageError):
-            log_sum_exp([])
-
-    def test_plus_inf_and_nan_rejected(self):
-        with pytest.raises(DataError):
-            log_sum_exp([0.0, np.inf])
-        with pytest.raises(DataError):
-            log_sum_exp([0.0, np.nan])
+        assert lse([-np.inf, -np.inf]) == -np.inf
 
     def test_matches_direct_evaluation_in_safe_range(self):
         # Direct ln(sum(exp)) with compensated summation is an independent path.
@@ -47,15 +42,15 @@ class TestLogSumExp:
         for _ in range(200):
             v = rng.uniform(-20, 20, size=rng.integers(1, 9))
             direct = math.log(math.fsum(math.exp(x) for x in v))
-            assert log_sum_exp(v) == pytest.approx(direct, rel=1e-13)
+            assert lse(v) == pytest.approx(direct, rel=1e-13)
 
     def test_dominates_max(self):
-        """log_sum_exp(v) >= max(v), equal only when one finite entry remains."""
+        """lse(v) >= max(v), equal only when one finite entry remains."""
         rng = np.random.default_rng(7)
         for _ in range(100):
             v = rng.uniform(-5, 5, size=6)
-            assert log_sum_exp(v) > np.max(v)
-        assert log_sum_exp([3.0, -np.inf, -np.inf]) == 3.0
+            assert lse(v) > np.max(v)
+        assert lse([3.0, -np.inf, -np.inf]) == 3.0
 
 
 def lse_reference(a, axis):

@@ -108,13 +108,19 @@ class TestRunModes:
             RunSpec(mode="zero_shot", images="x", kb="y")
 
     def test_report_records_every_resolved_value(self, small_fixture):
-        report = run(_spec(small_fixture, "kpl_text"))
+        report = run(_spec(small_fixture, "kpl_full"))
         cfg = report.config
         assert cfg["k"] == 3
         assert cfg["marginal"] == "uniform"
         assert cfg["solver"]["algorithm"] == "sinkhorn_log"
         assert cfg["learn"]["momentum"] == 0.5
         assert cfg["normalize_images"] is True
+
+    @pytest.mark.parametrize("mode", ["clip_baseline", "description_baseline", "kpl_text"])
+    def test_modes_that_never_solve_echo_no_solver_or_learner(self, small_fixture, mode):
+        cfg = run(_spec(small_fixture, mode)).to_json_dict()["config"]
+        assert cfg["solver"] is None and cfg["learn"] is None
+        assert cfg["k"] == 3 and cfg["marginal"] == "uniform"
 
     def test_identical_runs_give_identical_reports(self, small_fixture):
         a = run(_spec(small_fixture, "kpl_full")).to_json_dict()

@@ -169,6 +169,20 @@ class TestProxies:
         np.testing.assert_allclose(proxies.w[0], kb.classes[0].embeddings[1], atol=1e-12)
         assert isinstance(proxies, ProxyWeights)
 
+    @pytest.mark.parametrize(
+        "index", [np.array([-1]), np.array([3]), np.array([1.0]), np.array([True])]
+    )
+    def test_selection_outside_the_class_names_it(self, index):
+        # -1 would average the last description and a float or boolean would not
+        # index positions; 3 is one past the end of a 3-description class
+        kb = make_kb(np.random.default_rng(42), n_classes=2, n_descriptions=3, dim=5)
+        selection = RetrievalResult(
+            selected=(np.array([0]), index), scores=(np.array([0.5]), np.array([0.4])), k=1
+        )
+        with pytest.raises(UsageError, match=r"^class 'class_01': selected indices .* "
+                           r"are not integers in \[0, 3\)$"):
+            build_text_proxies(kb, selection)
+
     def test_two_axis_rows_average_to_diagonal(self):
         kb = KnowledgeBase(
             classes=(

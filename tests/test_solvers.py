@@ -174,7 +174,8 @@ class TestSinkhornLog:
 
 class TestStableGreenkhorn:
     def test_first_row_update_hits_target_exactly(self):
-        # One row grossly overweight: the first update must rescale it to 1/N.
+        # One row grossly overweight in exp(m/tau): the row-normalized start puts
+        # it at 1/N, and the first update leaves it there.
         m = np.array([[5.0, 5.0], [0.0, 0.1], [0.1, 0.0]])
         cfg = SolverConfig(tau_ot=1.0, max_iterations=1, tolerance=0.0)
         plan = stable_greenkhorn(m, cfg, ClassMarginal.uniform(2))
@@ -204,7 +205,8 @@ class TestStableGreenkhorn:
         assert abs(obj_sg - obj_or) <= 1e-8
 
     def test_tie_updates_column_first(self):
-        # exp(m) = [[2, 1], [1, 1]] has equal max row/col violations by symmetry.
+        # exp(m) = [[2, 1], [1, 1]] row-normalized meets the rows and misses both
+        # columns by 1/12, so the first update is column 0.
         m = np.log(np.array([[2.0, 1.0], [1.0, 1.0]]))
         cfg = SolverConfig(tau_ot=1.0, max_iterations=1, tolerance=0.0)
         plan = stable_greenkhorn(m, cfg, ClassMarginal.uniform(2))
@@ -238,22 +240,22 @@ class TestStableGreenkhorn:
         plan = stable_greenkhorn(m, cfg, ClassMarginal.uniform(5))
         assert plan.iterations_used == 17
 
-    def test_start_within_tolerance_still_rescales_every_line(self):
-        # The unscaled start meets a tolerance of 1e300, so greedy rescales every
-        # row, then every column, once: one sinkhorn_log sweep, line by line.
+    def test_start_within_tolerance_makes_no_update(self):
+        # The row-normalized start meets a tolerance of 1e300, so greedy makes no
+        # update and returns the row half of a sinkhorn_log sweep.
         m = random_instance(30, 5, BASE_SEED + 13)
         cfg = SolverConfig(tau_ot=0.01, tolerance=1e300)
-        q = ClassMarginal.uniform(5)
-        plan = stable_greenkhorn(m, cfg, q)
-        sweep = sinkhorn_log(m, replace(cfg, max_iterations=1), q)
-        assert plan.iterations_used == 35
-        np.testing.assert_allclose(plan.log_p, sweep.log_p, rtol=1e-12, atol=0)
+        plan = stable_greenkhorn(m, cfg, ClassMarginal.uniform(5))
+        assert plan.iterations_used == 0
+        np.testing.assert_allclose(plan_matrix(plan).sum(axis=1), 1 / 30, rtol=1e-14, atol=0)
+        rows = m / 0.01 - _lse(m / 0.01, axis=1)[:, None] - math.log(30)
+        np.testing.assert_allclose(plan.log_p, rows, rtol=1e-14, atol=0)
 
     def test_zero_mass_column_needs_no_rescale(self):
         m = random_instance(4, 3, BASE_SEED + 14)
         cfg = SolverConfig(tau_ot=0.1, tolerance=1e300)
         plan = stable_greenkhorn(m, cfg, ClassMarginal(np.array([0.5, 0.5, 0.0])))
-        assert plan.iterations_used == 4 + 2
+        assert plan.iterations_used == 0
         np.testing.assert_array_equal(plan_matrix(plan)[:, 2], 0.0)
 
     @settings(max_examples=60, deadline=None)
@@ -266,9 +268,9 @@ class TestStableGreenkhorn:
         zero_mass=st.booleans(),
     )
     def test_no_entry_keeps_its_unscaled_start(self, n, k, seed, tau, exponent, zero_mass):
-        """After a line's last rescale its entries are at most its target, and
-        every line is rescaled before the first stop test, so no entry of the
-        plan exceeds 1; an unscaled exp(m/tau) entry with m > 0 would."""
+        """Every entry starts at most 1/N and a rescaled line holds at most its
+        target, so no entry of the plan exceeds 1; an unscaled exp(m/tau) entry
+        with m > 0 would."""
         rng = np.random.default_rng(seed)
         m = rng.uniform(-1.0, 1.0, size=(n, k))
         weights = rng.integers(0, 3, size=k) if zero_mass else np.ones(k)
@@ -276,7 +278,7 @@ class TestStableGreenkhorn:
             weights[rng.integers(k)] = 1
         cfg = SolverConfig(tau_ot=tau, tolerance=10.0**exponent)
         plan = stable_greenkhorn(m, cfg, ClassMarginal.from_weights(weights))
-        assert plan.iterations_used >= n + np.count_nonzero(weights)
+        assert plan.iterations_used <= cfg.max_iterations
         assert np.all(plan_matrix(plan) <= 1.0)
 
 
@@ -284,9 +286,8 @@ def greedy_reference(m, cfg, q):
     """Reference greedy loop: every update rescans all row and column violations.
 
     Kept frozen for :func:`stable_greenkhorn`, which keeps the violations
-    incrementally and must give the same plan bit for bit. Its stop test waits
-    until every row and positive-mass column was rescaled once; until then a
-    within-tolerance plan rescales its lowest unscaled row, else column.
+    incrementally and must give the same plan bit for bit. Both start from the
+    row-normalized kernel, so no line ever holds +inf mass.
     """
     mat, qv = _check_inputs(m, q)
     n, _ = mat.shape
@@ -297,54 +298,37 @@ def greedy_reference(m, cfg, q):
         ln_q = np.log(qv)
     log_p = mat / cfg.tau_ot
     log_p[:, ~positive] = -np.inf
-    with np.errstate(over="ignore"):
-        p = np.exp(log_p)
+    log_p += (ln_row_target - _lse(log_p, axis=1))[:, None]
+    p = np.exp(log_p)
     row_sums = p.sum(axis=1)
     col_sums = p.sum(axis=0)
-    row_unscaled, col_unscaled = np.ones(n, dtype=bool), positive.copy()
     iterations = 0
     while iterations < cfg.max_iterations:
         rv = np.abs(row_sums - row_target)
         cv = np.abs(col_sums - qv)
         r = int(np.argmax(rv))
         c = int(np.argmax(cv))
-        on_row = rv[r] > cv[c]
         if rv[r] <= cfg.tolerance and cv[c] <= cfg.tolerance:
-            if row_unscaled.any():
-                on_row, r = True, int(np.flatnonzero(row_unscaled)[0])
-            elif col_unscaled.any():
-                on_row, c = False, int(np.flatnonzero(col_unscaled)[0])
-            else:
-                row_sums = p.sum(axis=1)
-                col_sums = p.sum(axis=0)
-                if (
-                    np.max(np.abs(row_sums - row_target)) <= cfg.tolerance
-                    and np.max(np.abs(col_sums - qv)) <= cfg.tolerance
-                ):
-                    break
-                continue
-        if on_row:
-            row_unscaled[r] = False
+            row_sums = p.sum(axis=1)
+            col_sums = p.sum(axis=0)
+            if (
+                np.max(np.abs(row_sums - row_target)) <= cfg.tolerance
+                and np.max(np.abs(col_sums - qv)) <= cfg.tolerance
+            ):
+                break
+            continue
+        if rv[r] > cv[c]:
             log_p[r, :] += ln_row_target - _lse(log_p[r, :], axis=0)
             new_line = np.exp(log_p[r, :])
-            with np.errstate(invalid="ignore"):
-                col_sums += new_line - p[r, :]
+            col_sums += new_line - p[r, :]
             p[r, :] = new_line
             row_sums[r] = new_line.sum()
-            bad = np.isnan(col_sums)
-            if bad.any():
-                col_sums[bad] = p[:, bad].sum(axis=0)
         else:
-            col_unscaled[c] = False
             log_p[:, c] += ln_q[c] - _lse(log_p[:, c], axis=0)
             new_line = np.exp(log_p[:, c])
-            with np.errstate(invalid="ignore"):
-                row_sums += new_line - p[:, c]
+            row_sums += new_line - p[:, c]
             p[:, c] = new_line
             col_sums[c] = new_line.sum()
-            bad = np.isnan(row_sums)
-            if bad.any():
-                row_sums[bad] = p[bad, :].sum(axis=1)
         iterations += 1
         if iterations % _REFRESH_EVERY == 0:
             row_sums = p.sum(axis=1)
@@ -352,21 +336,10 @@ def greedy_reference(m, cfg, q):
     return _finish(log_p, p, row_target, q, iterations)
 
 
-def _outcome(solver, m, cfg, q):
-    try:
-        return solver(m, cfg, q)
-    except NumericOverflowError as exc:
-        return f"NumericOverflowError: {exc}"
-
-
 def assert_same_plan(m, cfg, q):
-    """Equal plans, or the same overflow error from both loops (a plan capped
-    before its +inf lines were rescaled has no finite violation)."""
-    got = _outcome(stable_greenkhorn, m, cfg, q)
-    want = _outcome(greedy_reference, m, cfg, q)
-    if isinstance(want, str) or isinstance(got, str):
-        assert got == want
-        return got
+    """Equal plans, iteration counts and violations from both loops."""
+    got = stable_greenkhorn(m, cfg, q)
+    want = greedy_reference(m, cfg, q)
     assert np.array_equal(got.log_p, want.log_p)
     assert got.iterations_used == want.iterations_used
     assert got.final_row_violation == want.final_row_violation
@@ -378,7 +351,8 @@ def assert_same_plan(m, cfg, q):
 def greedy_instances(draw):
     """Small instances covering the greedy loop's special cases.
 
-    ``overflow`` puts m/tau = 1000 > 709 in one cell, so p starts with +inf;
+    ``overflow`` puts m/tau = 1000 > 709 in one cell, so exp(m/tau) overflows
+    there and only the row-normalized start keeps the plan finite;
     ``wide`` spans exp(-700)..exp(700), so incremental sums lose the small
     terms and the periodic refresh changes later choices; ``ties`` uses
     integer entries, so rows, columns and violations tie exactly; weights of
@@ -432,19 +406,32 @@ class TestGreedyMatchesReference:
     def test_overflowing_start(self):
         m = random_instance(12, 4, BASE_SEED + 11)
         cfg = SolverConfig(tau_ot=1e-3, max_iterations=3_000, tolerance=1e-9)
-        assert np.max(m) / cfg.tau_ot > 709.8  # exp overflows: p starts with +inf
+        assert np.max(m) / cfg.tau_ot > 709.8  # exp(m/tau) overflows; the start does not
         assert_same_plan(m, cfg, ClassMarginal.uniform(4))
 
     @pytest.mark.parametrize("cap", [50, 500, 3_000])
     def test_repairs_lines_longer_than_numpys_unrolled_block(self, cap):
-        # Ties go to the column, so the +inf start is rescaled column by column,
-        # and each NaN repair of a row sum adds up a row of K = 20 entries:
-        # longer than numpy's 8-wide unrolled block, unlike any K <= 8 instance.
+        # Each fresh row sum adds up a row of K = 20 entries: longer than numpy's
+        # 8-wide unrolled block, unlike any K <= 8 instance.
         rng = np.random.default_rng(BASE_SEED + 12)
         m = rng.uniform(-1.0, 1.0, size=(40, 20))
         m[rng.choice(40, 6, replace=False), rng.choice(20, 6, replace=False)] = 1.0
         cfg = SolverConfig(tau_ot=1e-3, max_iterations=cap, tolerance=1e-9)
         assert_same_plan(m, cfg, ClassMarginal.uniform(20))
+
+
+class TestGreedyStaysBounded:
+    """No transport plan greedy returns holds NaN or +inf, capped or not."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(greedy_instances())
+    def test_plan_is_finite_and_at_most_one(self, instance):
+        plan = stable_greenkhorn(*instance)
+        assert not np.any(np.isnan(plan.log_p))
+        assert not np.any(plan.log_p == np.inf)
+        assert math.isfinite(plan.final_row_violation)
+        assert math.isfinite(plan.final_col_violation)
+        assert np.all(plan_matrix(plan) <= 1.0)
 
 
 def sinkhorn_log_reference(m, cfg, q):
