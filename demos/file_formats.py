@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Tour the file formats: EMB1 matrices with CRC, knowledge-base JSON, marginals."""
+"""Tour the file formats: EMB1 matrices with CRC, knowledge bases in both forms, marginals."""
 
 import json
 import tempfile
@@ -32,7 +32,7 @@ try:
 except DataError as exc:
     print("single-bit corruption detected:", exc)
 
-# --- knowledge base JSON: per-class descriptions plus unit embedding rows ---
+# --- knowledge base, inline form: per-class descriptions plus unit embedding rows ---
 kb_doc = {
     "dim": 2,
     "classes": [
@@ -52,14 +52,20 @@ kb_doc = {
 kb_path = work / "kb.json"
 kb_path.write_text(json.dumps(kb_doc, indent=2))
 kb = pio.read_knowledge_base(kb_path)
-print(f"\nknowledge base: {kb.n_classes} classes, dim {kb.dim}, names {kb.names}")
+print(f"\ninline knowledge base: {kb.n_classes} classes, dim {kb.dim}, names {kb.names}")
 
-# Write it back out and read it again: the writer is the reader's inverse.
+# --- knowledge base, EMB1 form: the JSON names one EMB1 file with every row ---
+# The writer always writes this form; the reader takes both.
 kb2_path = work / "kb_copy.json"
 pio.write_knowledge_base(kb, kb2_path)
+kb2_doc = json.loads(kb2_path.read_text())
+emb_path = work / kb2_doc["embeddings_file"]
+print("written as", kb2_path.name, "naming", kb2_doc["embeddings_file"],
+      f"({emb_path.stat().st_size} bytes: 3 description rows in class order)")
+print("its classes carry no embeddings:", [sorted(c) for c in kb2_doc["classes"]])
 kb2 = pio.read_knowledge_base(kb2_path)
 same = all(np.array_equal(a.embeddings, b.embeddings) for a, b in zip(kb.classes, kb2.classes))
-print("written and read back:", kb2.names, "embeddings bit-identical:", same)
+print("read back:", kb2.names, "embeddings bit-identical to the inline form:", same)
 
 # A knowledge-base rule violation names the file it came from.
 kb_doc["classes"][1]["embeddings"] = [[0.0, 2.0]]
@@ -68,6 +74,13 @@ try:
     pio.read_knowledge_base(kb_path)
 except DataError as exc:
     print("non-unit row rejected:", exc)
+
+# An EMB1 file that does not fit the base is named after the KB.
+pio.write_embeddings(np.eye(2), emb_path)
+try:
+    pio.read_knowledge_base(kb2_path)
+except DataError as exc:
+    print("short embeddings file rejected:", exc)
 
 # --- class marginal: JSON weights, renormalized exactly ---
 (work / "q.json").write_text("[2, 2]")

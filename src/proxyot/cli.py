@@ -101,10 +101,22 @@ def _warn_at_caps(tolerance: float, diag: dict | None, learned: dict | None) -> 
         )
 
 
+def _load(args):
+    """The run spec ``args`` give and its loaded inputs.
+
+    The knowledge base's EMB1 file is known once its JSON is parsed, so the
+    overwrite check runs again here with it, before anything is written.
+    """
+    spec = _run_spec(args)
+    inputs = load(spec)
+    _refuse_overwrites(args, inputs.kb.embeddings_file)
+    return spec, inputs
+
+
 def _run(args):
     """``run`` for the pipeline subcommands, warning on stderr about capped stages."""
-    spec = _run_spec(args)
-    report = run(spec)
+    spec, inputs = _load(args)
+    report = run(spec, inputs)
     _warn_at_caps(spec.solver.tolerance, report.solver_diagnostics, report.learn_summary)
     return report
 
@@ -123,9 +135,10 @@ def _file_identity(path):
     return st.st_dev, st.st_ino
 
 
-def _refuse_overwrites(args) -> None:
+def _refuse_overwrites(args, kb_embeddings=None) -> None:
     """Refuse a command whose output is one of its inputs or its other output.
 
+    ``kb_embeddings`` is the EMB1 file the knowledge base names, once read.
     Symlinks, hard links and ``.``/``..`` spellings of one file all match.
     """
     if getattr(args, "out", None) is None:
@@ -135,6 +148,10 @@ def _refuse_overwrites(args) -> None:
         path = getattr(args, flag, None)
         if path is not None:
             named[_file_identity(path)] = f"--{flag} {path}"
+    if kb_embeddings is not None:
+        named[_file_identity(kb_embeddings)] = (
+            f"--kb {args.kb}'s embeddings file {kb_embeddings}"
+        )
     out = Path(args.out)
     writes = [(f"--out {out}", out)]
     if args.handler is _cmd_pipeline:
@@ -171,8 +188,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_retrieve(args) -> int:
-    spec = _run_spec(args)
-    inputs = load(spec)
+    spec, inputs = _load(args)
     kb = inputs.kb
     selection, _ = text_stage(inputs, spec.k)
     doc = {
@@ -193,8 +209,7 @@ def _cmd_retrieve(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    spec = _run_spec(args)
-    inputs = load(spec)
+    spec, inputs = _load(args)
     _, proxies = text_stage(inputs, spec.k)
     plan, guide = transport_stage(inputs, proxies, spec.solver)
     diag = solver_diagnostics(plan, spec.solver)
@@ -215,8 +230,8 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_learn(args) -> int:
-    spec = _run_spec(args)
-    plan, weights, trace = learn_stage(load(spec), spec)
+    spec, inputs = _load(args)
+    plan, weights, trace = learn_stage(inputs, spec)
     _warn_at_caps(
         spec.solver.tolerance, solver_diagnostics(plan, spec.solver), learn_summary(trace)
     )
@@ -229,8 +244,7 @@ def _cmd_learn(args) -> int:
 
 
 def _cmd_bench_ot(args) -> int:
-    spec = _run_spec(args)
-    inputs = load(spec)
+    spec, inputs = _load(args)
     _, proxies = text_stage(inputs, spec.k)
     algorithms = [args.algorithm] if args.algorithm else ALGORITHMS
     configs = [replace(spec.solver, algorithm=name) for name in algorithms]

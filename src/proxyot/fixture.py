@@ -21,7 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import UsageError
-from .io import write_embeddings, write_knowledge_base, write_report
+from .io import (
+    knowledge_base_embeddings_path,
+    write_embeddings,
+    write_knowledge_base,
+    write_report,
+)
 from .numerics import _finite_settings, l2_normalize_rows
 from .retrieval import ClassRecord, KnowledgeBase
 
@@ -159,13 +164,18 @@ def generate_fixture(seed: int, spec: FixtureSpec) -> Fixture:
             "images": "images.emb",
             "labels": "labels.txt",
             "knowledge_base": "kb.json",
+            "knowledge_base_embeddings": knowledge_base_embeddings_path("kb.json").name,
         },
     }
     return Fixture(images=images, labels=labels, kb=kb, manifest=manifest)
 
 
 def write_fixture(fixture: Fixture, out_dir) -> dict:
-    """Write the files that ``manifest["files"]`` names, and manifest.json, into ``out_dir``."""
+    """Write the files that ``manifest["files"]`` names, and manifest.json, into ``out_dir``.
+
+    The knowledge base's EMB1 file lands beside it, under the name the
+    manifest gives.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     files = fixture.manifest["files"]

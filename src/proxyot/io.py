@@ -12,14 +12,30 @@ EMB1 layout (all integers little-endian)::
 
 Matrices always come back as float64 (binary32 payloads widen exactly);
 rows are never auto-normalized here.
+
+A knowledge base is a JSON document in one of two forms::
+
+    {"dim": d, "embeddings_file": "kb.emb",
+     "classes": [{"name": ..., "descriptions": [...], "name_embedding": [...]}, ...]}
+
+    {"dim": d,
+     "classes": [{"name": ..., "descriptions": [...], "embeddings": [[...], ...],
+                  "name_embedding": [...]}, ...]}
+
+In the first, one EMB1 file beside the KB holds every description
+embedding in class order; ``write_knowledge_base`` writes it. The second,
+with inline rows, is for knowledge bases written by hand. ``name_embedding``
+is optional in both.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import struct
 import zlib
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +49,7 @@ __all__ = [
     "write_embeddings",
     "read_knowledge_base",
     "write_knowledge_base",
+    "knowledge_base_embeddings_path",
     "read_labels",
     "read_marginal",
     "write_report",
@@ -158,23 +175,62 @@ def read_embeddings(path) -> np.ndarray:
         raise DataError(f"{path}: cannot shape {rows}x{cols}: {exc}") from exc
 
 
+# The knowledge-base reader calls the EMB1 reader by this name, so a wrapper
+# installed over ``read_embeddings`` (perfbench's trace) times the images alone.
+_read_emb1 = read_embeddings
+
+
 def read_knowledge_base(path) -> KnowledgeBase:
     """Parse a knowledge-base JSON document into a validated ``KnowledgeBase``.
 
-    Each class lists its description texts and one ``embeddings`` row per
-    description; an optional ``name_embedding`` row makes the class usable as
-    a name-proxy baseline. This reader checks what JSON can get wrong (types,
-    booleans, ragged arrays, ``dim``); ``ClassRecord`` and ``KnowledgeBase``
-    check the rest. Every error names ``path``.
+    Each class lists its description texts; an optional ``name_embedding``
+    row makes the class usable as a name-proxy baseline. The description
+    embeddings come in one of two forms: a top-level ``"embeddings_file"``
+    names one EMB1 file, resolved against the KB's directory, that holds
+    every description row in class order, or each class carries its own
+    inline ``embeddings`` rows. This reader checks what the files can get
+    wrong (types, booleans, ragged arrays, ``dim``, the EMB1 shape and CRC);
+    ``ClassRecord`` and ``KnowledgeBase`` check the rest. Every error names
+    ``path``.
     """
     doc = _read_json(path)
     try:
-        return _knowledge_base(doc)
+        return _knowledge_base(doc, Path(path))
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 
 
-def _knowledge_base(doc) -> KnowledgeBase:
+def _embeddings_file(doc: dict, path: Path) -> Path | None:
+    """The EMB1 file ``doc`` names, resolved against the KB's directory, or None."""
+    if "embeddings_file" not in doc:
+        return None
+    name = doc["embeddings_file"]
+    if not isinstance(name, str) or not name:
+        raise DataError(f"'embeddings_file' must be a nonempty file name, got {name!r}")
+    return path.parent / name
+
+
+def _split_rows(emb_path: Path, counts: list[int], dim: int) -> list[np.ndarray]:
+    """The rows of the EMB1 file ``emb_path``, one block of ``counts[j]`` rows per class."""
+    try:
+        matrix = _read_emb1(emb_path)
+    except (OSError, ValueError) as exc:  # ValueError: a name the OS cannot take (NUL)
+        reason = getattr(exc, "strerror", None) or exc
+        raise DataError(f"embeddings file {emb_path}: {reason}") from None
+    except DataError as exc:  # its message starts with the EMB1 path
+        raise DataError(f"embeddings file {exc}") from None
+    rows, cols = matrix.shape
+    if rows != sum(counts):
+        raise DataError(
+            f"embeddings file {emb_path} has {rows} rows but the classes list "
+            f"{sum(counts)} descriptions"
+        )
+    if cols != dim:
+        raise DataError(f"embeddings file {emb_path} has {cols} columns but 'dim' is {dim}")
+    return np.split(matrix, np.cumsum(counts)[:-1])
+
+
+def _knowledge_base(doc, path: Path) -> KnowledgeBase:
     if not isinstance(doc, dict):
         raise DataError("top level must be an object")
     dim = doc.get("dim")
@@ -183,7 +239,9 @@ def _knowledge_base(doc) -> KnowledgeBase:
     classes = doc.get("classes")
     if not isinstance(classes, list):
         raise DataError("'classes' must be a list")
-    records = []
+    emb_path = _embeddings_file(doc, path)
+    parsed = []  # (name, descriptions, name embedding) of each class
+    inline = []  # each class's embedding rows, when the KB names no EMB1 file
     for pos, entry in enumerate(classes):
         if not isinstance(entry, dict):
             raise DataError(f"class {pos} must be an object")
@@ -195,29 +253,56 @@ def _knowledge_base(doc) -> KnowledgeBase:
             isinstance(t, str) for t in descriptions
         ):
             raise DataError(f"class {name!r} needs a list of description strings")
-        if "embeddings" not in entry:
-            raise DataError(f"class {name!r} has no 'embeddings'")
-        emb = _numeric_array(entry["embeddings"], f"class {name!r} embeddings", ndim=2)
+        if emb_path is None:
+            if "embeddings" not in entry:
+                raise DataError(f"class {name!r} has no 'embeddings'")
+            inline.append(
+                _numeric_array(entry["embeddings"], f"class {name!r} embeddings", ndim=2)
+            )
+        elif "embeddings" in entry:
+            raise DataError(
+                f"class {name!r} has inline 'embeddings' but the KB names "
+                f"'embeddings_file' {emb_path}; give one or the other"
+            )
         name_emb = entry.get("name_embedding")
         if name_emb is not None:
             name_emb = _numeric_array(name_emb, f"class {name!r} name_embedding", ndim=1)
-        records.append(ClassRecord(name, tuple(descriptions), emb, name_emb))
-    return KnowledgeBase(classes=tuple(records), dim=dim)
+        parsed.append((name, descriptions, name_emb))
+    if emb_path is None:
+        rows = inline
+    else:
+        rows = _split_rows(emb_path, [len(d) for _, d, _ in parsed], dim)
+    records = [ClassRecord(n, tuple(d), emb, ne) for (n, d, ne), emb in zip(parsed, rows)]
+    return KnowledgeBase(classes=tuple(records), dim=dim, embeddings_file=emb_path)
+
+
+def knowledge_base_embeddings_path(path) -> Path:
+    """Where ``write_knowledge_base(kb, path)`` puts the EMB1 file: never ``path`` itself.
+
+    ``kb.json`` gives ``kb.emb``; a KB path that already ends in ``.emb``
+    gets a second one.
+    """
+    path = Path(path)
+    emb = path.with_suffix(".emb")
+    return emb if emb != path else path.with_name(path.name + ".emb")
 
 
 def write_knowledge_base(kb: KnowledgeBase, path) -> None:
-    """Write ``kb`` as the JSON document that ``read_knowledge_base`` reads back."""
+    """Write ``kb`` as the JSON document and EMB1 file that ``read_knowledge_base`` reads back.
+
+    Every description embedding goes, in class order, into the binary64 EMB1
+    file that ``knowledge_base_embeddings_path(path)`` gives; the JSON names
+    it relative to its own directory.
+    """
+    emb_path = knowledge_base_embeddings_path(path)
+    write_embeddings(np.concatenate([rec.embeddings for rec in kb.classes]), emb_path)
     classes = []
     for rec in kb.classes:
-        entry = {
-            "name": rec.name,
-            "descriptions": list(rec.descriptions),
-            "embeddings": rec.embeddings.tolist(),
-        }
+        entry = {"name": rec.name, "descriptions": list(rec.descriptions)}
         if rec.name_embedding is not None:
             entry["name_embedding"] = rec.name_embedding.tolist()
         classes.append(entry)
-    write_report({"dim": kb.dim, "classes": classes}, path)
+    write_report({"dim": kb.dim, "embeddings_file": emb_path.name, "classes": classes}, path)
 
 
 def read_labels(path, kb: KnowledgeBase) -> np.ndarray:
@@ -269,9 +354,65 @@ def read_marginal(path) -> ClassMarginal:
     return ClassMarginal.from_weights(weights)
 
 
+def _json_float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _json_key(key) -> str:
+    """A dict key as ``json.dumps`` quotes it: strings, and the scalars it converts."""
+    if not isinstance(key, (str, int, float)) and key is not None:
+        raise TypeError(
+            f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+        )
+    return encode_basestring_ascii(key if isinstance(key, str) else _json(key, ""))
+
+
+def _json(value, indent: str) -> str:
+    """``value`` exactly as ``json.dumps(value, indent=2)`` writes it, ``indent`` deep.
+
+    A flat list of ints (predictions, selected indices) is joined in one
+    pass; everything else follows ``json.dumps`` element by element.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _json_float(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if set(map(type, value)) == {int}:
+            items = map(int.__repr__, value)
+        else:
+            items = (_json(v, inner) for v in value)
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (f"{_json_key(k)}: {_json(v, inner)}" for k, v in value.items())
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    return json.dumps(value)  # raises json's TypeError for what it cannot encode
+
+
 def write_report(doc, path) -> None:
-    """Serialize a JSON document with fixed key order; equal documents give equal bytes."""
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    """Write ``json.dumps(doc, indent=2)`` and a newline; equal documents give equal bytes.
+
+    The bytes are ``json.dumps``'s, written without Python's indenting
+    encoder, which spends about half a microsecond on each list item.
+    """
+    Path(path).write_text(_json(doc, "") + "\n", encoding="utf-8")
 
 
 def write_predictions_csv(path, predictions, class_names) -> None:

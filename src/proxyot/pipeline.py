@@ -224,9 +224,14 @@ def learn_summary(trace: LearnTrace) -> dict:
     }
 
 
-def run(spec: RunSpec) -> RunReport:
-    """Execute one mode end to end over the files named in ``spec``."""
-    inputs = load(spec)
+def run(spec: RunSpec, inputs: Inputs | None = None) -> RunReport:
+    """Execute one mode end to end over the files named in ``spec``.
+
+    ``inputs`` is what ``load(spec)`` returned, for a caller that has loaded
+    them already; by default ``run`` loads them itself.
+    """
+    if inputs is None:
+        inputs = load(spec)
     kb = inputs.kb
     solver_diag = None
     learned = None

@@ -9,6 +9,7 @@ k, and averages the survivors into one unit proxy vector per class.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -77,6 +78,8 @@ class KnowledgeBase:
 
     classes: tuple[ClassRecord, ...]
     dim: int
+    # the EMB1 file the description embeddings were read from, if one was
+    embeddings_file: Path | None = None
 
     def __post_init__(self):
         if len(self.classes) == 0:
@@ -132,6 +135,8 @@ class RetrievalResult:
     k: int
 
     def __post_init__(self):
+        if self.k < 1:
+            raise UsageError(f"k must be >= 1, got {self.k}")
         if len(self.selected) != len(self.scores):
             raise UsageError("selection and score lists differ in class count")
         for j, (idx, s) in enumerate(zip(self.selected, self.scores)):

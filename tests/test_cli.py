@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import inline_kb_doc
 from proxyot import io as pio
 from proxyot.cli import main
 from proxyot.solvers import SolverConfig
@@ -216,7 +217,7 @@ class TestExitCodes:
     def test_knowledge_base_rule_error_names_the_file(
         self, cli_fixture, tmp_path, capsys, fault
     ):
-        doc = json.loads((cli_fixture / "kb.json").read_text())
+        doc = inline_kb_doc(cli_fixture / "kb.json")
         classes = doc["classes"]
         if fault == "non_unit_row":
             classes[2]["embeddings"][3] = [2 * x for x in classes[2]["embeddings"][3]]
@@ -231,6 +232,79 @@ class TestExitCodes:
         assert main(_with(_pipeline_args(cli_fixture, tmp_path / "r.json"), "--kb", kb)) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"data error: {kb}: ")
+        assert {
+            "non_unit_row": "class 'class_02': embedding row 3 has norm 2.0",
+            "duplicate_name": "duplicate class name 'class_00'",
+            "count": "class 'class_00': 3 descriptions but 4 embedding rows",
+            "dim": "class 'class_00' embeddings have dim 8, expected 9",
+        }[fault] in err[0]
+
+    def test_non_unit_row_in_the_embeddings_file_names_the_kb(
+        self, cli_fixture, tmp_path, capsys
+    ):
+        kb = tmp_path / "kb.json"
+        kb.write_bytes((cli_fixture / "kb.json").read_bytes())
+        rows = pio.read_embeddings(cli_fixture / "kb.emb")
+        rows[2 * 4 + 3] *= 2  # class 2, description 3
+        pio.write_embeddings(rows, tmp_path / "kb.emb")
+        assert main(_with(_pipeline_args(cli_fixture, tmp_path / "r.json"), "--kb", kb)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"data error: {kb}: class 'class_02': embedding row 3 has norm 2.000000000, "
+            "expected 1"
+        ]
+
+
+class TestEmbeddingsFileFaults:
+    """A knowledge base whose EMB1 file is missing or does not fit it exits 2
+    with one line naming the KB and, where one is named, the EMB1 file."""
+
+    @pytest.fixture
+    def kb(self, cli_fixture, tmp_path):
+        for name in ("kb.json", "kb.emb"):
+            (tmp_path / name).write_bytes((cli_fixture / name).read_bytes())
+        return tmp_path / "kb.json"
+
+    @staticmethod
+    def _edit(kb, **fields):
+        doc = json.loads(kb.read_text())
+        kb.write_text(json.dumps(doc | fields))
+
+    @pytest.mark.parametrize(
+        "fault", ["missing", "not_a_string", "crc", "rows", "cols", "also_inline"]
+    )
+    def test_fault_is_one_data_error_line(self, cli_fixture, kb, tmp_path, capsys, fault):
+        emb = tmp_path / "kb.emb"
+        rows = pio.read_embeddings(emb)
+        if fault == "missing":
+            emb.unlink()
+            expected = f"embeddings file {emb}: No such file or directory"
+        elif fault == "not_a_string":
+            self._edit(kb, embeddings_file=["kb.emb"])
+            expected = "'embeddings_file' must be a nonempty file name, got ['kb.emb']"
+        elif fault == "crc":
+            blob = bytearray(emb.read_bytes())
+            blob[30] ^= 0x01
+            emb.write_bytes(bytes(blob))
+            expected = f"embeddings file {emb}: CRC-32 mismatch at byte offset"
+        elif fault == "rows":
+            pio.write_embeddings(rows[:-1], emb)
+            expected = f"embeddings file {emb} has 11 rows but the classes list 12 descriptions"
+        elif fault == "cols":
+            pio.write_embeddings(rows[:, :-1], emb)
+            expected = f"embeddings file {emb} has 7 columns but 'dim' is 8"
+        else:
+            doc = json.loads(kb.read_text())
+            doc["classes"][1]["embeddings"] = rows[4:8].tolist()
+            kb.write_text(json.dumps(doc))
+            expected = (
+                f"class 'class_01' has inline 'embeddings' but the KB names "
+                f"'embeddings_file' {emb}; give one or the other"
+            )
+        code = main(_with(_pipeline_args(cli_fixture, tmp_path / "r.json"), "--kb", kb))
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"data error: {kb}: {expected}")
 
 
 # Every input flag of each subcommand that reads inputs and writes a file.
@@ -251,14 +325,16 @@ _INPUT_FILES = {
 
 class TestOverwriteRefused:
     """An output that resolves to an input, or to the command's other output,
-    exits 1 with one usage line before anything is read or written."""
+    exits 1 with one usage line before anything is read or written. The EMB1
+    file the knowledge base names is known once the KB is read, so an output
+    over it is refused then, still before anything is written."""
 
     @pytest.fixture
     def fx(self, cli_fixture, tmp_path):
         """Private copies of the inputs, so a refused write cannot reach the shared ones."""
         fx = tmp_path / "fx"
         fx.mkdir()
-        for name in ("images.emb", "kb.json", "labels.txt"):
+        for name in ("images.emb", "kb.json", "kb.emb", "labels.txt"):
             (fx / name).write_bytes((cli_fixture / name).read_bytes())
         (fx / "marginal.json").write_text("[1, 2, 1]\n")
         return fx
@@ -294,6 +370,18 @@ class TestOverwriteRefused:
         self._refused(
             self._args(command, fx, fx / _INPUT_FILES[flag]), capsys, "--out", f"--{flag}"
         )
+        assert self._snapshot(fx) == before
+
+    @pytest.mark.parametrize("command", _READS)
+    def test_out_over_the_knowledge_base_embeddings_file(self, fx, capsys, command):
+        before = self._snapshot(fx)
+        argv = self._args(command, fx, fx / "kb.emb")
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"usage error: --out {fx / 'kb.emb'} would overwrite --kb {fx / 'kb.json'}'s "
+            f"embeddings file {fx / 'kb.emb'}"
+        ]
         assert self._snapshot(fx) == before
 
     @pytest.mark.parametrize("command", ["pipeline", "eval"])
@@ -484,7 +572,7 @@ class TestBadSettingsAndData:
     def test_non_unit_name_embedding_fails_only_the_name_baseline(
         self, cli_fixture, tmp_path, capsys, mode
     ):
-        doc = json.loads((cli_fixture / "kb.json").read_text())
+        doc = inline_kb_doc(cli_fixture / "kb.json")
         entry = doc["classes"][1]
         entry["name_embedding"] = [2.0 * v for v in entry["name_embedding"]]
         kb = tmp_path / "kb.json"
@@ -621,9 +709,10 @@ class TestGenFixture:
         assert not out.exists()
 
     def test_writes_all_files(self, cli_fixture):
-        for name in ("images.emb", "labels.txt", "kb.json", "manifest.json"):
+        for name in ("images.emb", "labels.txt", "kb.json", "kb.emb", "manifest.json"):
             assert (cli_fixture / name).exists()
         manifest = json.loads((cli_fixture / "manifest.json").read_text())
+        assert manifest["files"]["knowledge_base_embeddings"] == "kb.emb"
         assert manifest["seed"] == 11
         assert manifest["name_noise"] == pytest.approx(0.25)
 
@@ -633,7 +722,7 @@ class TestGenFixture:
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
-        for name in ("images.emb", "labels.txt", "kb.json", "manifest.json"):
+        for name in ("images.emb", "labels.txt", "kb.json", "kb.emb", "manifest.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_invalid_spec_rejected(self, tmp_path):

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import knowledge_bases
 from proxyot import io as pio
 from proxyot.errors import DataError, UsageError
 from proxyot.fixture import FixtureSpec, generate_fixture, write_fixture
-from proxyot.retrieval import ClassRecord, KnowledgeBase
 
 
 class TestEmb1RoundTrip:
@@ -200,6 +200,40 @@ class TestKnowledgeBaseFile:
         with pytest.raises(DataError, match="'dim'"):
             pio.read_knowledge_base(path)
 
+    def test_embeddings_file_resolves_against_the_kb_directory(self, tmp_path, monkeypatch):
+        (tmp_path / "sub").mkdir()
+        doc = _kb_doc()
+        rows = [row for entry in doc["classes"] for row in entry.pop("embeddings")]
+        pio.write_embeddings(np.array(rows), tmp_path / "sub" / "rows.emb")
+        doc["embeddings_file"] = "rows.emb"
+        (tmp_path / "sub" / "kb.json").write_text(json.dumps(doc))
+        monkeypatch.chdir(tmp_path)
+        kb = pio.read_knowledge_base(Path("sub") / "kb.json")
+        assert kb.embeddings_file == Path("sub") / "rows.emb"
+        np.testing.assert_array_equal(kb.classes[0].embeddings, rows[:2])
+        np.testing.assert_array_equal(kb.classes[1].embeddings, rows[2:])
+
+    @pytest.mark.parametrize("name", ["missing.emb", ".", "x" * 300, "\x00", "\ud800"])
+    def test_unreadable_embeddings_file_is_data_error(self, tmp_path, name):
+        doc = _kb_doc(inline=False)
+        del doc["classes"][1]["embeddings"]
+        path = tmp_path / "kb.json"
+        path.write_text(json.dumps(doc | {"embeddings_file": name}))
+        with pytest.raises(DataError, match=f"^{path}: embeddings file "):
+            pio.read_knowledge_base(path)
+
+    def test_inline_kb_names_no_embeddings_file(self, tmp_path):
+        path = tmp_path / "kb.json"
+        path.write_text(json.dumps(_kb_doc()))
+        assert pio.read_knowledge_base(path).embeddings_file is None
+
+    @pytest.mark.parametrize(
+        "kb, emb", [("kb.json", "kb.emb"), ("kb", "kb.emb"), ("kb.emb", "kb.emb.emb"),
+                    ("kb.v2.json", "kb.v2.emb")]
+    )
+    def test_written_embeddings_file_never_is_the_kb(self, tmp_path, kb, emb):
+        assert pio.knowledge_base_embeddings_path(tmp_path / kb) == tmp_path / emb
+
     def test_name_embedding_is_parsed(self, tmp_path):
         doc = _kb_doc()
         doc["classes"][0]["name_embedding"] = [1.0, 0.0, 0.0]
@@ -211,56 +245,32 @@ class TestKnowledgeBaseFile:
         np.testing.assert_array_equal(names, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
 
-# names and texts with quotes, commas, backslashes and non-ASCII characters
-_TEXT = st.text(alphabet=st.sampled_from('ab "\',\\\né漢🙂'), max_size=10)
-# entries too small to square are zeroed, so every drawn row normalizes to unit
-_ENTRY = st.floats(-4.0, 4.0).map(lambda x: x if abs(x) > 1e-6 else 0.0)
-
-
-@st.composite
-def knowledge_bases(draw):
-    dim = draw(st.integers(1, 6))
-    with_names = draw(st.booleans())
-    names = draw(st.lists(_TEXT.filter(bool), min_size=1, max_size=4, unique=True))
-    records = []
-    for name in names:
-        count = draw(st.integers(1, 5))
-        texts = draw(st.lists(_TEXT, min_size=count, max_size=count))
-        rows = np.array(draw(st.lists(
-            st.lists(_ENTRY, min_size=dim, max_size=dim), min_size=count, max_size=count
-        )))
-        rows[~rows.any(axis=1), 0] = 1.0
-        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-        name_emb = None
-        if with_names:
-            finite = st.floats(allow_nan=False, allow_infinity=False)
-            name_emb = np.array(draw(st.lists(finite, min_size=dim, max_size=dim)))
-        records.append(ClassRecord(name, tuple(texts), rows, name_emb))
-    return KnowledgeBase(tuple(records), dim=dim)
-
-
 def _bits(values) -> np.ndarray:
     return np.asarray(values, dtype=np.float64).view(np.uint64)
 
 
 def _frozen_fixture_kb_doc(fixture) -> dict:
-    """The kb.json document write_fixture once assembled by hand; its bytes pin the format."""
-    class_names = fixture.kb.names
-    descriptions = [list(rec.descriptions) for rec in fixture.kb.classes]
-    description_embeddings = [rec.embeddings for rec in fixture.kb.classes]
-    name_embeddings = np.stack([rec.name_embedding for rec in fixture.kb.classes])
+    """The kb.json document write_fixture writes, assembled by hand; its bytes pin the format."""
     return {
         "dim": fixture.images.shape[1],
+        "embeddings_file": "kb.emb",
         "classes": [
             {
-                "name": class_names[j],
-                "descriptions": descriptions[j],
-                "embeddings": description_embeddings[j].tolist(),
-                "name_embedding": name_embeddings[j].tolist(),
+                "name": rec.name,
+                "descriptions": list(rec.descriptions),
+                "name_embedding": rec.name_embedding.tolist(),
             }
-            for j in range(len(class_names))
+            for rec in fixture.kb.classes
         ],
     }
+
+
+def _frozen_fixture_kb_embeddings(fixture) -> bytes:
+    """The kb.emb file write_fixture writes: every description row, in class order, as EMB1."""
+    rows = np.concatenate([rec.embeddings for rec in fixture.kb.classes])
+    payload = rows.astype("<f8").tobytes()
+    header = struct.pack("<4sHBQQ", b"EMB1", 1, 1, *rows.shape)
+    return header + payload + struct.pack("<I", zlib.crc32(payload))
 
 
 class TestKnowledgeBaseWriter:
@@ -292,6 +302,7 @@ class TestKnowledgeBaseWriter:
         write_fixture(fixture, tmp_path)
         frozen = json.dumps(_frozen_fixture_kb_doc(fixture), indent=2) + "\n"
         assert (tmp_path / "kb.json").read_bytes() == frozen.encode("utf-8")
+        assert (tmp_path / "kb.emb").read_bytes() == _frozen_fixture_kb_embeddings(fixture)
 
 
 class TestLabels:

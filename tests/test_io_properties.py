@@ -1,17 +1,21 @@
-"""Property tests: whatever a file holds, the readers return or raise DataError.
+"""Property tests of the file formats.
 
-Any other exception would reach the CLI as a traceback with exit 1 instead
-of a ``data error:`` line with exit 2.
+Whatever a file holds, the readers return or raise DataError: any other
+exception would reach the CLI as a traceback with exit 1 instead of a
+``data error:`` line with exit 2. The writers give back what the readers
+read, and reports are the bytes ``json.dumps(doc, indent=2)`` gives.
 """
 
 import json
 import struct
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import knowledge_bases
 from proxyot import io as pio
 from proxyot.errors import DataError
 
@@ -36,15 +40,21 @@ kb_classes = st.fixed_dictionaries(
         "name": st.sampled_from(["a", "b", ""]) | json_values,
         "descriptions": st.lists(st.text(max_size=4), min_size=1, max_size=2)
         | json_values,
-        "embeddings": unit_rows | json_values,
     },
-    optional={"name_embedding": st.lists(st.floats(), max_size=3) | json_values},
+    optional={
+        "embeddings": unit_rows | json_values,
+        "name_embedding": st.lists(st.floats(), max_size=3) | json_values,
+    },
 )
 kb_docs = st.fixed_dictionaries(
     {
         "dim": st.integers(0, 3) | json_values,
         "classes": st.lists(kb_classes, max_size=3) | json_values,
-    }
+    },
+    # x.emb holds whatever the EMB1 property test last wrote
+    optional={"embeddings_file": st.sampled_from(
+        ["x.emb", "kb.json", "none.emb", "", ".", "\x00", "\ud800", "x" * 300]
+    ) | json_values},
 )
 
 
@@ -194,3 +204,70 @@ def test_knowledge_base_rejects_any_boolean_entry(work, rows, field):
             pio.read_knowledge_base(path)
     else:
         pio.read_knowledge_base(path)
+
+
+# what reports hold: nested objects and arrays, flat lists of ints, ints of any
+# sign and size, floats with NaN and infinities, None, and strings with quotes,
+# escapes and non-ASCII characters
+_REPORT_TEXT = st.text(alphabet=st.sampled_from('ab "\\/\n\t\x00é漢🙂\ud800'), max_size=8)
+_REPORT_KEYS = _REPORT_TEXT | st.integers() | st.floats() | st.booleans() | st.none()
+report_docs = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _REPORT_TEXT
+    | st.lists(st.integers(), max_size=20),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_REPORT_KEYS, inner, max_size=5),
+    max_leaves=40,
+)
+
+
+@BOUNDED
+@given(doc=report_docs)
+def test_write_report_writes_the_bytes_of_json_dumps(work, doc):
+    directory, _ = work
+    path = directory / "report.json"
+    pio.write_report(doc, path)
+    assert path.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def _assert_same_base(got, want):
+    """Same dim, names and texts, and bit-equal embedding and name-embedding rows."""
+    assert got.dim == want.dim
+    assert got.names == want.names
+    for a, b in zip(got.classes, want.classes):
+        assert a.descriptions == b.descriptions
+        np.testing.assert_array_equal(_bits(a.embeddings), _bits(b.embeddings))
+        assert (a.name_embedding is None) == (b.name_embedding is None)
+        if b.name_embedding is not None:
+            np.testing.assert_array_equal(_bits(a.name_embedding), _bits(b.name_embedding))
+
+
+@BOUNDED
+@given(kb=knowledge_bases(), name=st.sampled_from(["kb.json", "kb.emb", "kb", "k.b.json"]))
+def test_knowledge_base_round_trip_is_bit_exact(work, kb, name):
+    directory, _ = work
+    path = directory / "rt" / name
+    path.parent.mkdir(exist_ok=True)
+    pio.write_knowledge_base(kb, path)
+    back = pio.read_knowledge_base(path)
+    assert back.embeddings_file == pio.knowledge_base_embeddings_path(path) != path
+    _assert_same_base(back, kb)
+
+
+@BOUNDED
+@given(kb=knowledge_bases())
+def test_inline_and_embeddings_file_twins_read_identically(work, kb):
+    directory, _ = work
+    twin = directory / "twin.json"
+    pio.write_knowledge_base(kb, twin)
+    doc = json.loads(twin.read_text(encoding="utf-8"))
+    del doc["embeddings_file"]
+    for entry, rec in zip(doc["classes"], kb.classes):
+        entry["embeddings"] = rec.embeddings.tolist()
+    inline = directory / "inline.json"
+    inline.write_text(json.dumps(doc), encoding="utf-8")
+    _assert_same_base(pio.read_knowledge_base(inline), pio.read_knowledge_base(twin))

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import inline_kb_doc
 from proxyot.errors import DataError, UsageError
 from proxyot.fixture import FixtureSpec, generate_fixture, write_fixture
 from proxyot.learner import LearnConfig
@@ -153,7 +154,7 @@ class TestRunErrors:
             run(_spec(small_fixture, "kpl_full", marginal=marg))
 
     def test_clip_mode_without_name_embeddings(self, small_fixture, tmp_path):
-        doc = json.loads((small_fixture / "kb.json").read_text())
+        doc = inline_kb_doc(small_fixture / "kb.json")
         for entry in doc["classes"]:
             entry.pop("name_embedding", None)
         stripped = tmp_path / "stripped.json"
@@ -195,7 +196,7 @@ class TestLoad:
 
 class TestRelabelingEquivariance:
     def test_baseline_predictions_permute_with_classes(self, small_fixture, tmp_path):
-        doc = json.loads((small_fixture / "kb.json").read_text())
+        doc = inline_kb_doc(small_fixture / "kb.json")
         perm = [2, 0, 1]
         permuted = dict(doc, classes=[doc["classes"][j] for j in perm])
         kb2 = tmp_path / "permuted.json"

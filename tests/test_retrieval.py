@@ -157,6 +157,13 @@ class TestTopK:
 
 
 class TestProxies:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_selection_size_below_one_is_usage_error(self, k):
+        with pytest.raises(UsageError, match=f"^k must be >= 1, got {k}$"):
+            RetrievalResult(selected=(np.array([], dtype=np.int64),) * 2,
+                            scores=(np.array([]),) * 2, k=k)
+
     def test_single_selection_passes_through(self):
         rng = np.random.default_rng(42)
         kb = make_kb(rng, n_classes=2, n_descriptions=3, dim=5)
