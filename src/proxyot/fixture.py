@@ -64,6 +64,10 @@ class FixtureSpec:
             raise UsageError("angle, offset and noise must be nonnegative")
         if self.descriptions_per_class < 1:
             raise UsageError("each class needs at least one description")
+        # the largest array a fixture draws is max(N, dim, descriptions) x dim float64
+        longest = max(self.n_images, self.dim, self.descriptions_per_class)
+        if longest * self.dim * 8 > np.iinfo(np.intp).max:
+            raise UsageError(f"{_sizes(self)} are more than numpy can index")
         if self.name_noise is not None and not self.name_noise >= 0:
             raise UsageError(f"name_noise must be nonnegative, got {self.name_noise}")
         _finite_settings(self, "separation", "angle_deg", "offset", "noise", "name_noise")
@@ -73,6 +77,13 @@ class FixtureSpec:
         if self.name_noise is not None:
             return self.name_noise
         return NAME_NOISE_FACTOR * self.noise
+
+
+def _sizes(spec: FixtureSpec) -> str:
+    return (
+        f"{spec.n_images} images, {spec.n_classes} classes, dim {spec.dim} and "
+        f"{spec.descriptions_per_class} descriptions per class"
+    )
 
 
 @dataclass
@@ -109,11 +120,18 @@ def _finite(draw: np.ndarray, setting: str) -> np.ndarray:
     return draw
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a draw that overflows is rejected below
 def generate_fixture(seed: int, spec: FixtureSpec) -> Fixture:
     """Draw a complete fixture (images, labels, knowledge base) from one seed."""
     if seed < 0:
         raise UsageError(f"seed must be a non-negative integer, got {seed}")
+    try:
+        return _draw(seed, spec)
+    except MemoryError as exc:
+        raise UsageError(f"{_sizes(spec)} do not fit in memory: {exc}") from None
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a draw that overflows is rejected below
+def _draw(seed: int, spec: FixtureSpec) -> Fixture:
     rng = np.random.default_rng(seed)
     n, k, d = spec.n_images, spec.n_classes, spec.dim
 

@@ -26,16 +26,18 @@ In the first, one EMB1 file beside the KB holds every description
 embedding in class order; ``write_knowledge_base`` writes it. The second,
 with inline rows, is for knowledge bases written by hand. ``name_embedding``
 is optional in both.
+
+Reports, and the JSON half of a knowledge base, are written by
+``write_report``: the bytes of ``json.dumps(doc, indent=2)`` plus a newline,
+with one join for each flat list of ints.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
 import struct
 import zlib
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -354,63 +356,29 @@ def read_marginal(path) -> ClassMarginal:
     return ClassMarginal.from_weights(weights)
 
 
-def _json_float(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-def _json_key(key) -> str:
-    """A dict key as ``json.dumps`` quotes it: strings, and the scalars it converts."""
-    if not isinstance(key, (str, int, float)) and key is not None:
-        raise TypeError(
-            f"keys must be str, int, float, bool or None, not {type(key).__name__}"
-        )
-    return encode_basestring_ascii(key if isinstance(key, str) else _json(key, ""))
-
-
 def _json(value, indent: str) -> str:
-    """``value`` exactly as ``json.dumps(value, indent=2)`` writes it, ``indent`` deep.
+    """``value`` as ``json.dumps(value, indent=2)`` writes it, ``indent`` deep.
 
-    A flat list of ints (predictions, selected indices) is joined in one
-    pass; everything else follows ``json.dumps`` element by element.
+    Dicts with only str keys are walked and a flat list of ints is joined in
+    one pass; every other value is ``json.dumps``'s own output, re-indented
+    (it escapes newlines inside strings, so each one it writes ends a line).
     """
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _json_float(value)
     inner = indent + "  "
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        if set(map(type, value)) == {int}:
-            items = map(int.__repr__, value)
-        else:
-            items = (_json(v, inner) for v in value)
-        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = (f"{_json_key(k)}: {_json(v, inner)}" for k, v in value.items())
+    if isinstance(value, dict) and value and all(type(k) is str for k in value):
+        items = (f"{json.dumps(k)}: {_json(v, inner)}" for k, v in value.items())
         return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
-    return json.dumps(value)  # raises json's TypeError for what it cannot encode
+    if isinstance(value, (list, tuple)) and set(map(type, value)) == {int}:
+        items = map(int.__repr__, value)
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    return json.dumps(value, indent=2).replace("\n", "\n" + indent)
 
 
 def write_report(doc, path) -> None:
     """Write ``json.dumps(doc, indent=2)`` and a newline; equal documents give equal bytes.
 
-    The bytes are ``json.dumps``'s, written without Python's indenting
-    encoder, which spends about half a microsecond on each list item.
+    A flat list of ints (predictions, selected indices) is joined in one
+    pass instead of through Python's indenting encoder, which spends about
+    half a microsecond on each list item.
     """
     Path(path).write_text(_json(doc, "") + "\n", encoding="utf-8")
 

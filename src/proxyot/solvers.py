@@ -109,11 +109,13 @@ class SolverConfig:
 
 @dataclass
 class TransportPlan:
-    """Log-domain N x K coupling plus its targets and convergence diagnostics."""
+    """Log-domain N x K coupling plus its convergence diagnostics.
+
+    The violations are L-infinity distances of the line sums from the solve's
+    targets: 1/N for every row and the class marginal q for the columns.
+    """
 
     log_p: np.ndarray
-    row_target: float
-    col_target: ClassMarginal
     iterations_used: int
     final_row_violation: float
     final_col_violation: float
@@ -184,8 +186,6 @@ def _finish(
     rv, cv = _violations(p, row_target, q.q)
     return TransportPlan(
         log_p=log_p,
-        row_target=row_target,
-        col_target=q,
         iterations_used=iterations,
         final_row_violation=rv,
         final_col_violation=cv,

@@ -746,6 +746,26 @@ class TestGenFixture:
         ]
         assert not out.exists()
 
+    # Each size fails at once on any 64-bit machine: numpy cannot index it, or
+    # it asks for more bytes than a 64-bit address space holds.
+    @pytest.mark.parametrize("sizes, reason", [
+        (["--n", str(10**18)], "are more than numpy can index"),
+        (["--dim", str(10**17)], "are more than numpy can index"),
+        (["--classes", str(10**10), "--dim", str(10**10)], "are more than numpy can index"),
+        (["--n", str(10**20)], "are more than numpy can index"),
+        (["--descriptions", str(10**17)], "are more than numpy can index"),
+        (["--n", str(10**17), "--classes", "2", "--dim", "2"], "do not fit in memory"),
+    ])
+    def test_oversized_fixture_is_usage_error(self, tmp_path, capsys, sizes, reason):
+        out = tmp_path / "x"
+        assert main(["gen-fixture", "--seed", "1", "--out", str(out), *sizes]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error: ")
+        assert reason in err[0]
+        for value in sizes[1::2]:
+            assert value in err[0]
+        assert not out.exists()
+
     def test_gapless_fixture_makes_name_proxies_perfect(self, tmp_path):
         fx = tmp_path / "clean"
         assert main(
