@@ -112,7 +112,7 @@ def l2_normalize_rows(m, copy: bool = True) -> np.ndarray:
         np.divide(block, norms[:, None], out=dst)
         if odd.size:
             rows = dst[odd]
-            top = np.abs(rows).max(axis=1)
+            top = np.abs(rows).max(axis=1, initial=0.0)  # an N x 0 row is all zero
             zero = odd[top == 0.0]
             if zero.size:
                 raise DataError(f"cannot normalize all-zero row {start + zero[0]}")

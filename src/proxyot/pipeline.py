@@ -210,7 +210,7 @@ def solver_diagnostics(plan: TransportPlan, cfg: SolverConfig) -> dict:
         "iterations_used": plan.iterations_used,
         "final_row_violation": plan.final_row_violation,
         "final_col_violation": plan.final_col_violation,
-        "converged": plan.converged(cfg.tolerance),
+        "converged": plan.converged,
     }
 
 
@@ -282,7 +282,7 @@ def bench_solvers(m, q: ClassMarginal, configs) -> list[dict]:
                        final_row_violation=None, final_col_violation=None, objective=None)
         else:
             row.update(
-                status="converged" if plan.converged(cfg.tolerance) else "max_iterations",
+                status="converged" if plan.converged else "max_iterations",
                 error=None,
                 iterations=plan.iterations_used,
                 final_row_violation=plan.final_row_violation,

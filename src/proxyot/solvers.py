@@ -109,26 +109,18 @@ class SolverConfig:
 
 @dataclass
 class TransportPlan:
-    """Log-domain N x K coupling plus its convergence diagnostics.
+    """Log-domain N x K coupling plus the stop test that ended its solve.
 
-    The violations are L-infinity distances of the line sums from the solve's
-    targets: 1/N for every row and the class marginal q for the columns.
+    The violations are L-infinity distances of the line sums from the targets
+    (1/N per row, q per column) as that test saw them; ``converged`` is its
+    verdict, both within the solve's tolerance.
     """
 
     log_p: np.ndarray
     iterations_used: int
     final_row_violation: float
     final_col_violation: float
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.log_p.shape
-
-    def converged(self, tolerance: float) -> bool:
-        return (
-            self.final_row_violation <= tolerance
-            and self.final_col_violation <= tolerance
-        )
+    converged: bool
 
 
 @dataclass(frozen=True)
@@ -166,29 +158,24 @@ def _line_sums(p: np.ndarray, row_target: float, qv: np.ndarray):
 
 
 def _violations(p: np.ndarray, row_target: float, qv: np.ndarray) -> tuple[float, float]:
-    """L-infinity row and column violations of the linear-domain plan ``p``: every
-    solver's stop test and every reported violation (so ``converged``) is this."""
+    """L-infinity row and column violations of the linear-domain plan ``p``: the
+    Sinkhorn solvers' stop test; greedy takes the same maxima of its fresh sums."""
     *_, rv, cv = _line_sums(p, row_target, qv)
     return float(rv.max()), float(cv.max())
 
 
 def _finish(
-    log_p: np.ndarray,
-    p: np.ndarray,
-    row_target: float,
-    q: ClassMarginal,
-    iterations: int,
+    log_p: np.ndarray, iterations: int, rv: float, cv: float, tolerance: float
 ) -> TransportPlan:
-    """Package ``log_p`` with the violations of ``p``, the linear plan its solver's
-    stop test saw: exp(log_p), or for ``sinkhorn_linear`` the p that log_p is log of."""
+    """``log_p`` with the violations and verdict of the stop test that ended its solve."""
     assert not np.any(np.isnan(log_p)), "internal error: NaN in transport plan"
     assert not np.any(log_p == np.inf), "internal error: +inf in transport plan"
-    rv, cv = _violations(p, row_target, q.q)
     return TransportPlan(
         log_p=log_p,
         iterations_used=iterations,
         final_row_violation=rv,
         final_col_violation=cv,
+        converged=rv <= tolerance and cv <= tolerance,
     )
 
 
@@ -261,7 +248,7 @@ def sinkhorn_linear(m, cfg: SolverConfig, q: ClassMarginal) -> TransportPlan:
             break
     with np.errstate(divide="ignore"):
         log_p = np.log(p)
-    return _finish(log_p, p, row_target, q, iterations)
+    return _finish(log_p, iterations, rv, cv, cfg.tolerance)
 
 
 def sinkhorn_log(m, cfg: SolverConfig, q: ClassMarginal) -> TransportPlan:
@@ -282,11 +269,10 @@ def sinkhorn_log(m, cfg: SolverConfig, q: ClassMarginal) -> TransportPlan:
             col_adjust = ln_q - _lse(log_p, axis=0)
         col_adjust[~positive] = 0.0
         log_p += col_adjust[None, :]
-        p = np.exp(log_p)
-        rv, cv = _violations(p, row_target, qv)
+        rv, cv = _violations(np.exp(log_p), row_target, qv)
         if rv <= cfg.tolerance and cv <= cfg.tolerance:
             break
-    return _finish(log_p, p, row_target, q, iterations)
+    return _finish(log_p, iterations, rv, cv, cfg.tolerance)
 
 
 def stable_greenkhorn(m, cfg: SolverConfig, q: ClassMarginal) -> TransportPlan:
@@ -346,7 +332,9 @@ def stable_greenkhorn(m, cfg: SolverConfig, q: ClassMarginal) -> TransportPlan:
         v[i] = abs(sums[i] - target)
         np.abs(np.subtract(crossed, crossed_target, out=crossed_v), out=crossed_v)
         iterations += 1
-    return _finish(log_p, p, row_target, q, iterations)
+    else:  # at the cap no test has seen the last update yet
+        *_, rv, cv = _line_sums(p, row_target, qv)
+    return _finish(log_p, iterations, float(rv.max()), float(cv.max()), tol)
 
 
 _SOLVERS = {
@@ -365,8 +353,8 @@ def solve(m, cfg: SolverConfig, q: ClassMarginal) -> TransportPlan:
 def entropic_objective(plan: TransportPlan, m, tau: float) -> float:
     """<M, P> + tau * H(P) with H(P) = -sum(P ln P) and 0 ln 0 = 0."""
     mat = as_matrix(m, "similarity matrix")
-    if mat.shape != plan.shape:
-        raise UsageError(f"matrix shape {mat.shape} does not match plan {plan.shape}")
+    if mat.shape != plan.log_p.shape:
+        raise UsageError(f"matrix shape {mat.shape} does not match plan {plan.log_p.shape}")
     p = np.exp(plan.log_p)
     with np.errstate(invalid="ignore"):  # 0 * -inf where the plan has no mass
         plogp = np.where(p > 0, p * plan.log_p, 0.0)

@@ -175,6 +175,11 @@ class TestL2NormalizeRows:
             rtol=0, atol=1e-15,
         )
 
+    def test_rows_of_no_entries_are_all_zero(self):
+        """A row of no entries has norm 0, so it fails like any all-zero row."""
+        with pytest.raises(DataError, match=r"^cannot normalize all-zero row 0$"):
+            l2_normalize_rows(np.zeros((2, 0)))
+
     def test_zero_row_after_tiny_rows_names_its_index(self):
         with pytest.raises(DataError, match="all-zero row 2"):
             l2_normalize_rows([[1e-200, 0.0], [1e200, 1.0], [0.0, 0.0], [0.0, 0.0]])

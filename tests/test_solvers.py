@@ -14,6 +14,7 @@ from proxyot.solvers import (
     _REFRESH_EVERY,
     _check_inputs,
     _finish,
+    _violations,
     ALGORITHMS,
     ClassMarginal,
     PseudoLabels,
@@ -333,7 +334,8 @@ def greedy_reference(m, cfg, q):
         if iterations % _REFRESH_EVERY == 0:
             row_sums = p.sum(axis=1)
             col_sums = p.sum(axis=0)
-    return _finish(log_p, p, row_target, q, iterations)
+    rv, cv = _violations(p, row_target, qv)
+    return _finish(log_p, iterations, rv, cv, cfg.tolerance)
 
 
 def assert_same_plan(m, cfg, q):
@@ -465,7 +467,7 @@ def sinkhorn_log_reference(m, cfg, q):
         cv = float(np.max(np.abs(p.sum(axis=0) - qv)))
         if rv <= cfg.tolerance and cv <= cfg.tolerance:
             break
-    return TransportPlan(log_p, iterations, rv, cv)
+    return TransportPlan(log_p, iterations, rv, cv, rv <= cfg.tolerance and cv <= cfg.tolerance)
 
 
 @st.composite
@@ -508,28 +510,54 @@ class TestSinkhornLogMatchesReference:
 
 
 class TestStopMatchesVerdict:
-    """A solve that stops before its cap stopped on its own test, so the plan
-    it reports must call itself converged."""
+    """A plan records the stop test that ended its solve: ``converged`` is that
+    test's verdict on the violations it reports. So a solve that stops before
+    its cap stopped on its own test and must call itself converged."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
         st.sampled_from(ALGORITHMS),
         well_scaled_instances(zero_mass=False) | well_scaled_instances(zero_mass=True),
+        st.sampled_from(["mid-run", 0.0]),
+        st.sampled_from(["double", 1]),
     )
-    def test_early_stop_reports_converged(self, algorithm, instance):
+    def test_early_stop_reports_converged(self, algorithm, instance, tolerance, cap):
         m, cfg, q = instance
         # a tolerance equal to a violation the solver reported mid-run puts the
         # stop exactly on the boundary of the test
         mid = solve(m, replace(cfg, algorithm=algorithm, tolerance=0.0), q)
-        tolerance = max(mid.final_row_violation, mid.final_col_violation)
-        cfg = replace(
-            cfg, algorithm=algorithm, tolerance=tolerance, max_iterations=2 * cfg.max_iterations
-        )
+        on_boundary = tolerance == "mid-run"
+        if on_boundary:
+            tolerance = max(mid.final_row_violation, mid.final_col_violation)
+        cap = 2 * cfg.max_iterations if cap == "double" else cap
+        cfg = replace(cfg, algorithm=algorithm, tolerance=tolerance, max_iterations=cap)
         plan = solve(m, cfg, q)
-        if algorithm != "stable_greenkhorn":
+        rv, cv = plan.final_row_violation, plan.final_col_violation
+        assert plan.converged == (rv <= cfg.tolerance and cv <= cfg.tolerance)
+        if algorithm != "sinkhorn_linear":  # which reports on the p that log_p is log of
+            assert (rv, cv) == _violations(np.exp(plan.log_p), 1 / m.shape[0], q.q)
+        if on_boundary and algorithm != "stable_greenkhorn":
             assert plan.iterations_used <= mid.iterations_used
         if plan.iterations_used < cfg.max_iterations:
-            assert plan.converged(cfg.tolerance)
+            assert plan.converged
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_cap_on_the_converging_update_reports_converged(self, algorithm):
+        """A cap equal to the uncapped solve's count ends on the update that
+        converges; that solve must match the uncapped one and say converged.
+        Greedy only passes the stop test after that update, so it holds because
+        greedy tests the plan once more at its cap."""
+        m = random_instance(12, 4, 3)
+        q = ClassMarginal.uniform(4)
+        cfg = SolverConfig(tau_ot=0.1, tolerance=1e-9, algorithm=algorithm)
+        free = solve(m, cfg, q)
+        assert free.converged and free.iterations_used > 1
+        capped = solve(m, replace(cfg, max_iterations=free.iterations_used), q)
+        assert np.array_equal(capped.log_p, free.log_p)
+        assert capped.iterations_used == free.iterations_used
+        assert capped.final_row_violation == free.final_row_violation
+        assert capped.final_col_violation == free.final_col_violation
+        assert capped.converged
 
 
 class TestCrossRatioInvariant:
@@ -652,6 +680,7 @@ class TestEntropicObjective:
             iterations_used=0,
             final_row_violation=0.0,
             final_col_violation=0.0,
+            converged=True,
         )
         assert entropic_objective(row_plan, m, tau) >= entropic_objective(converged, m, tau)
 
