@@ -310,34 +310,41 @@ def write_knowledge_base(kb: KnowledgeBase, path) -> None:
 def read_labels(path, kb: KnowledgeBase) -> np.ndarray:
     """Read one label per line: a class index or a class name from the base.
 
-    Only a token of ASCII digits is an index; any other token (``+1``,
-    ``1_0``, non-ASCII digits) must be a class name.
+    A line ends at ``\\n`` (``_read_text`` has turned ``\\r\\n`` and ``\\r``
+    into it), and surrounding whitespace is stripped from its token. A token
+    of ASCII digits is an index, leading zeros allowed, even where a class
+    has that name; any other token (``+1``, ``1_0``, non-ASCII digits) must
+    be a class name. Every token is looked up once in one table of names and
+    index strings.
     """
     text = _read_text(path)
-    name_to_index = {name: j for j, name in enumerate(kb.names)}
-    labels = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        token = line.strip()
-        if not token:
-            raise DataError(f"{path}:{lineno}: empty label line")
-        if token.isascii() and token.isdigit():
-            digits = token.lstrip("0") or "0"
-            # lengths first: int() refuses strings of more than 4300 digits
-            if len(digits) > len(str(kb.n_classes)) or int(digits) >= kb.n_classes:
-                raise DataError(
-                    f"{path}:{lineno}: label index {token} out of range [0, {kb.n_classes})"
-                )
-            idx = int(digits)
-        elif token in name_to_index:
-            idx = name_to_index[token]
-        else:
-            raise DataError(
-                f"{path}:{lineno}: label {token!r} is not a class name in the knowledge base"
-            )
-        labels.append(idx)
-    if not labels:
+    if not text:
         raise DataError(f"{path}: label file is empty")
-    return np.array(labels, dtype=np.int64)
+    table = {name: j for j, name in enumerate(kb.names) if name and not _is_index(name)}
+    table.update((str(j), j) for j in range(kb.n_classes))
+    lines = text.split("\n")
+    if not lines[-1]:  # the newline that ends the last line
+        lines.pop()
+
+    def keys():  # an index's digits without leading zeros (_is_index inlined); else the token
+        tokens = map(str.strip, lines)
+        return (t.lstrip("0") or "0" if t.isascii() and t.isdigit() else t for t in tokens)
+
+    try:
+        return np.fromiter(map(table.__getitem__, keys()), dtype=np.int64, count=len(lines))
+    except KeyError:
+        lineno = next(n for n, key in enumerate(keys(), start=1) if key not in table)
+    token = lines[lineno - 1].strip()
+    if not token:
+        raise DataError(f"{path}:{lineno}: empty label line")
+    if _is_index(token):
+        raise DataError(f"{path}:{lineno}: label index {token} out of range [0, {kb.n_classes})")
+    raise DataError(f"{path}:{lineno}: label {token!r} is not a class name in the knowledge base")
+
+
+def _is_index(token: str) -> bool:
+    """Whether a label token is a class index: one or more ASCII digits."""
+    return token.isascii() and token.isdigit()
 
 
 def read_marginal(path) -> ClassMarginal:

@@ -100,18 +100,24 @@ class RunReport:
 
 
 def accuracy(pred, gold) -> tuple[float, dict[int, float]]:
-    """Exact-match fraction overall and per gold class."""
+    """Exact-match fraction overall and per gold class.
+
+    Gold labels are class indices: none may be negative, and the count
+    takes one bin per index up to the largest. ``per_class`` has one entry
+    per class present in ``gold``, in ascending order.
+    """
     p = np.asarray(pred, dtype=np.int64)
     g = np.asarray(gold, dtype=np.int64)
     if p.shape != g.shape or p.ndim != 1:
         raise UsageError(f"prediction/gold shapes differ: {p.shape} vs {g.shape}")
     if p.size == 0:
         raise UsageError("accuracy needs at least one prediction")
+    if g.min() < 0:
+        raise UsageError(f"gold label {g.min()} is negative, not a class index")
     overall = float(np.mean(p == g))
-    per_class = {
-        int(c): float(np.mean(p[g == c] == c)) for c in np.unique(g)
-    }
-    return overall, per_class
+    counts = np.bincount(g)
+    hits = np.bincount(g, weights=p == g)
+    return overall, {int(c): float(hits[c] / counts[c]) for c in np.flatnonzero(counts)}
 
 
 def _resolved_config(spec: RunSpec) -> dict:

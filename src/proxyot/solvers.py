@@ -7,8 +7,8 @@ deliberately fragile baseline; ``sinkhorn_log`` performs the identical
 alternating normalization in log space, one vectorized sweep over all rows
 and columns per iteration, and is the default; ``stable_greenkhorn``
 starts from the row-normalized kernel, then greedily rescales only the single
-row or column with the worst absolute marginal violation, keeping those
-violations incrementally across updates, again entirely in log space.
+row or column with the worst absolute marginal violation, keeping its line
+sums incrementally across updates, again entirely in log space.
 
 Plans are stored in log domain (``log_p``); -inf encodes zero mass and is
 the only permitted non-finite value.
@@ -38,7 +38,7 @@ __all__ = [
     "pseudo_labels",
 ]
 
-# Incremental row/column bookkeeping drifts; refresh it fully this often.
+# Greedy's incremental line sums drift; rebuild them from the plan this often.
 _REFRESH_EVERY = 1000
 
 
@@ -77,7 +77,10 @@ class ClassMarginal:
     def from_weights(cls, weights) -> "ClassMarginal":
         """Build from unnormalized nonnegative weights, renormalizing exactly."""
         w = _weights(weights)
-        total = float(w.sum())
+        with np.errstate(over="ignore"):
+            total = float(w.sum())
+        if total == math.inf:
+            raise DataError("class marginal weights sum past the float range")
         if total <= 0.0:
             raise DataError("class marginal has zero total mass")
         return cls(w / total)
@@ -150,18 +153,10 @@ def _check_inputs(m, q: ClassMarginal) -> tuple[np.ndarray, np.ndarray]:
     return mat, q.q
 
 
-def _line_sums(p: np.ndarray, row_target: float, qv: np.ndarray):
-    """Fresh row and column sums of ``p`` and their absolute violations."""
-    row_sums = p.sum(axis=1)
-    col_sums = p.sum(axis=0)
-    return row_sums, col_sums, np.abs(row_sums - row_target), np.abs(col_sums - qv)
-
-
 def _violations(p: np.ndarray, row_target: float, qv: np.ndarray) -> tuple[float, float]:
-    """L-infinity row and column violations of the linear-domain plan ``p``: the
-    Sinkhorn solvers' stop test; greedy takes the same maxima of its fresh sums."""
-    *_, rv, cv = _line_sums(p, row_target, qv)
-    return float(rv.max()), float(cv.max())
+    """L-infinity row and column violations of the linear plan ``p``: every solver's stop test."""
+    rv = np.abs(p.sum(axis=1) - row_target).max()
+    return float(rv), float(np.abs(p.sum(axis=0) - qv).max())
 
 
 def _finish(
@@ -281,16 +276,15 @@ def stable_greenkhorn(m, cfg: SolverConfig, q: ClassMarginal) -> TransportPlan:
     Starts from log P = m/tau with every row rescaled to mass 1/N at once, the
     row half of a :func:`sinkhorn_log` sweep; ``iterations_used`` counts only
     the updates after that start. Every entry is then at most 1/N, and at most
-    1 after any update, so no line ever holds +inf mass. The absolute marginal
-    violation of every row and column is kept incrementally: an update rewrites
-    its own line's violation and recomputes the crossed ones. Each iteration
-    rescales only the worst line: the argmax row if the worst row beats the
-    worst column, otherwise the argmax column (ties go to the column; index
-    ties to the lowest index). The rescale adds a constant to the line in log
-    space, so the selected line meets its target mass exactly and the plan
-    keeps the diagonal-scaling structure of the initialization. A column
-    update is the row update on the transposed plan, with the roles of the row
-    and column sums, violations and targets swapped.
+    1 after any update, so no line ever holds +inf mass. Only the line sums
+    are kept across updates: an update rewrites its own line's sum and adds
+    its change to the crossed ones. Each iteration takes every line's absolute
+    marginal violation from those sums and rescales the worst line: the argmax
+    row if the worst row beats the worst column, otherwise the argmax column
+    (ties go to the column; index ties to the lowest index). The rescale adds
+    a constant to the line in log space, so the line meets its target mass
+    exactly and the plan keeps the diagonal-scaling structure of the start.
+    A column update is the row update on the transposed plan.
     """
     mat, qv = _check_inputs(m, q)
     n, _ = mat.shape
@@ -304,23 +298,21 @@ def stable_greenkhorn(m, cfg: SolverConfig, q: ClassMarginal) -> TransportPlan:
     log_pt, pt = log_p.T, p.T  # views: log_p and p are only written in place
     while iterations < cfg.max_iterations:
         if iterations % _REFRESH_EVERY == 0:  # build, then rebuild as sums drift
-            row_sums, col_sums, rv, cv = _line_sums(p, row_target, qv)
-        r = int(rv.argmax())
-        c = int(cv.argmax())
+            row_sums, col_sums = p.sum(axis=1), p.sum(axis=0)
+        rv, cv = np.abs(row_sums - row_target), np.abs(col_sums - qv)
+        r, c = int(rv.argmax()), int(cv.argmax())
         if rv[r] <= tol and cv[c] <= tol:
             # Incremental sums drift; confirm against fresh ones before stopping.
-            row_sums, col_sums, rv, cv = _line_sums(p, row_target, qv)
-            if rv.max() <= tol and cv.max() <= tol:
+            if max(_violations(p, row_target, qv)) <= tol:
                 break
+            row_sums, col_sums = p.sum(axis=1), p.sum(axis=0)
             continue
-        # A column is a row of the transposes. Pick each axis's state per update:
-        # the refresh and the confirm step rebind the incremental vectors.
+        # A column is a row of the transposes. Pick each axis's sums per update:
+        # the refresh and the confirm step rebind them.
         if rv[r] > cv[c]:
-            i, lp, pp, ln_target, target = r, log_p, p, ln_row_target, row_target
-            sums, v, crossed, crossed_v, crossed_target = row_sums, rv, col_sums, cv, qv
+            i, lp, pp, ln_target, sums, crossed = r, log_p, p, ln_row_target, row_sums, col_sums
         else:
-            i, lp, pp, ln_target, target = c, log_pt, pt, ln_q[c], qv[c]
-            sums, v, crossed, crossed_v, crossed_target = col_sums, cv, row_sums, rv, row_target
+            i, lp, pp, ln_target, sums, crossed = c, log_pt, pt, ln_q[c], col_sums, row_sums
         line = lp[i]
         lse = line.max()
         lse += np.log(np.exp(line - lse).sum())
@@ -329,12 +321,8 @@ def stable_greenkhorn(m, cfg: SolverConfig, q: ClassMarginal) -> TransportPlan:
         crossed += new_line - pp[i]
         pp[i] = new_line
         sums[i] = new_line.sum()
-        v[i] = abs(sums[i] - target)
-        np.abs(np.subtract(crossed, crossed_target, out=crossed_v), out=crossed_v)
         iterations += 1
-    else:  # at the cap no test has seen the last update yet
-        *_, rv, cv = _line_sums(p, row_target, qv)
-    return _finish(log_p, iterations, float(rv.max()), float(cv.max()), tol)
+    return _finish(log_p, iterations, *_violations(p, row_target, qv), tol)
 
 
 _SOLVERS = {

@@ -138,10 +138,12 @@ class TestExitCodes:
             ("--marginal", b"[true, 1, 1]"),
             ("--marginal", b"[]"),
             ("--marginal", b"\xff[]"),
+            ("--marginal", b"[1e308, 1e308, 1]"),
             ("--labels", b"\xff0\n"),
         ],
         ids=["ragged-embeddings", "2d-name-embedding", "kb-not-utf8", "bool-weight",
-             "empty-marginal", "marginal-not-utf8", "labels-not-utf8"],
+             "empty-marginal", "marginal-not-utf8", "marginal-sum-overflows",
+             "labels-not-utf8"],
     )
     def test_malformed_file_is_one_data_error_line(
         self, cli_fixture, tmp_path, capsys, flag, content

@@ -350,6 +350,30 @@ class TestLabels:
         with pytest.raises(DataError, match="out of range"):
             pio.read_labels(labels, kb)
 
+    @pytest.mark.parametrize("sep", ["\x0b", "\u2028"])
+    def test_only_newlines_end_a_line(self, tmp_path, sep):
+        # str.splitlines would break at these; a label line does not
+        kb = self._kb(tmp_path)
+        labels = tmp_path / "y.txt"
+        labels.write_text(f"alpha{sep}\n{sep}beta\n1\n", encoding="utf-8")
+        np.testing.assert_array_equal(pio.read_labels(labels, kb), [0, 1, 1])
+        labels.write_text(f"alpha\nalpha{sep}beta\n1\n", encoding="utf-8")
+        with pytest.raises(DataError, match=":2: label .* is not a class name"):
+            pio.read_labels(labels, kb)
+        labels.write_text(f"alpha{sep}\nbeta\ngamma\n", encoding="utf-8")
+        with pytest.raises(DataError, match=":3: label 'gamma'"):
+            pio.read_labels(labels, kb)
+
+    def test_digit_named_class_is_reached_by_index_only(self, tmp_path):
+        doc = _kb_doc()
+        doc["classes"][0]["name"] = "1"
+        path = tmp_path / "kb.json"
+        path.write_text(json.dumps(doc))
+        kb = pio.read_knowledge_base(path)
+        labels = tmp_path / "y.txt"
+        labels.write_text("1\n0\nbeta\n")
+        np.testing.assert_array_equal(pio.read_labels(labels, kb), [1, 0, 1])
+
     def test_digit_like_class_names_are_names(self, tmp_path):
         doc = _kb_doc()
         doc["classes"][0]["name"] = "+1"
@@ -401,6 +425,12 @@ class TestMarginal:
         path = tmp_path / "q.json"
         path.write_text("[]")
         with pytest.raises(DataError, match="nonempty"):
+            pio.read_marginal(path)
+
+    def test_weights_whose_sum_overflows_rejected(self, tmp_path):
+        path = tmp_path / "q.json"
+        path.write_text("[1e308, 1e308, 1, 1, 1]")
+        with pytest.raises(DataError, match="weights sum past the float range"):
             pio.read_marginal(path)
 
     def test_integer_beyond_float_range_rejected(self, tmp_path):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from conftest import knowledge_bases
 from proxyot import io as pio
 from proxyot.errors import DataError
+from proxyot.retrieval import ClassRecord, KnowledgeBase
 
 # bounded so the whole file stays a few seconds of the tier-1 run
 BOUNDED = settings(max_examples=100, deadline=None)
@@ -159,7 +160,9 @@ def test_read_labels_takes_only_ascii_digits_as_indices(work, tokens):
     directory, kb = work
     path = directory / "y_idx.txt"
     path.write_text("\n".join(tokens), encoding="utf-8", errors="surrogatepass")
-    lines = "\n".join(tokens).splitlines()
+    # lines end at \n, \r\n or \r (read_text turns the last two into \n)
+    text = "\n".join(tokens).replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.removesuffix("\n").split("\n") if text else []
     expected = [_expected_label(line.strip(), kb.names) for line in lines]
     if lines and None not in expected:
         assert pio.read_labels(path, kb).tolist() == expected
@@ -271,3 +274,78 @@ def test_inline_and_embeddings_file_twins_read_identically(work, kb):
     inline = directory / "inline.json"
     inline.write_text(json.dumps(doc), encoding="utf-8")
     _assert_same_base(pio.read_knowledge_base(inline), pio.read_knowledge_base(twin))
+
+
+def read_labels_reference(path, kb):
+    """The label reader as it was before its one-table lookup, kept frozen.
+
+    It splits lines with ``str.splitlines``, so it is the reference only for
+    text that holds none of the separators that method adds to ``\\n``.
+    """
+    text = pio._read_text(path)
+    name_to_index = {name: j for j, name in enumerate(kb.names)}
+    labels = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        token = line.strip()
+        if not token:
+            raise DataError(f"{path}:{lineno}: empty label line")
+        if token.isascii() and token.isdigit():
+            digits = token.lstrip("0") or "0"
+            # lengths first: int() refuses strings of more than 4300 digits
+            if len(digits) > len(str(kb.n_classes)) or int(digits) >= kb.n_classes:
+                raise DataError(
+                    f"{path}:{lineno}: label index {token} out of range [0, {kb.n_classes})"
+                )
+            idx = int(digits)
+        elif token in name_to_index:
+            idx = name_to_index[token]
+        else:
+            raise DataError(
+                f"{path}:{lineno}: label {token!r} is not a class name in the knowledge base"
+            )
+        labels.append(idx)
+    if not labels:
+        raise DataError(f"{path}: label file is empty")
+    return np.array(labels, dtype=np.int64)
+
+
+# str.splitlines breaks at these as well as at \n and \r
+SPLITLINES_ONLY = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+label_names = st.lists(
+    st.sampled_from(["a", "b c", "7", "01", "12", "\u0663", "\u00b2", "+1", "1_0", "x\ty"])
+    | st.text(st.characters(exclude_characters=SPLITLINES_ONLY), min_size=1, max_size=3),
+    min_size=1,
+    max_size=14,
+    unique=True,
+)
+label_tokens = st.sampled_from(
+    ["0", "1", "2", "9", "10", "11", "12", "007", "00", "0" * 5000 + "1", "9" * 5000,
+     "7", "01", "\u0663", "\u00b2", "+1", "1_0", "a", "b c", " a ", "x\ty", "", "  ", "\t"]
+) | st.text(st.characters(exclude_characters=SPLITLINES_ONLY), max_size=3)
+
+
+@BOUNDED
+@given(
+    names=label_names,
+    tokens=st.lists(label_tokens, max_size=6),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    trailing=st.booleans(),
+)
+def test_read_labels_matches_frozen_reference(work, names, tokens, newline, trailing):
+    directory, _ = work
+    kb = KnowledgeBase(
+        tuple(ClassRecord(name, ("d",), np.array([[1.0]])) for name in names), dim=1
+    )
+    path = directory / "y_ref.txt"
+    text = newline.join(tokens) + (newline if trailing and tokens else "")
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        want = read_labels_reference(path, kb)
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            pio.read_labels(path, kb)
+        assert str(got.value) == str(exc)
+    else:
+        got = pio.read_labels(path, kb)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)

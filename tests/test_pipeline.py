@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import inline_kb_doc
 from proxyot.errors import DataError, UsageError
@@ -57,6 +63,52 @@ class TestAccuracy:
     def test_empty_rejected(self):
         with pytest.raises(UsageError):
             accuracy([], [])
+
+    def test_negative_gold_label_rejected(self):
+        with pytest.raises(UsageError, match="gold label -1 is negative"):
+            accuracy([0, 0], [0, -1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_per_class_mean(self, data):
+        # gold over k classes, predictions over a range that may miss some of
+        # them or name classes gold never holds; k = 1 is a single class
+        k = data.draw(st.integers(1, 6))
+        n = data.draw(st.integers(1, 40))
+        gold = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+        lo, hi = sorted(data.draw(st.lists(st.integers(0, k + 2), min_size=2, max_size=2)))
+        pred = data.draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n))
+        overall, per_class = accuracy(pred, gold)
+        assert overall == sum(p == g for p, g in zip(pred, gold)) / n
+        want = {}
+        for c in sorted(set(gold)):
+            mine = [p for p, g in zip(pred, gold) if g == c]
+            want[c] = sum(p == c for p in mine) / len(mine)
+        assert per_class == want
+        assert list(per_class) == list(want)
+
+    def test_labeled_eval_imports_no_numpy_submodule(self, small_fixture, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        # numpy may load some submodules lazily (numpy.ma on first np.unique);
+        # a labeled eval should pay for none of them inside cli.main
+        script = (
+            "import sys\n"
+            "from proxyot.cli import main\n"
+            "before = set(sys.modules)\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] == 'numpy'))\n"
+        )
+        for mode in ("kpl_text", "kpl_full"):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, "eval", "--mode", mode,
+                 "--images", str(small_fixture / "images.emb"),
+                 "--kb", str(small_fixture / "kb.json"),
+                 "--labels", str(small_fixture / "labels.txt"),
+                 "--out", str(tmp_path / f"{mode}.json")],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.splitlines()[-1] == "[]", mode
 
 
 class TestRunModes:
