@@ -32,37 +32,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{message}\n{self.format_usage().rstrip()}")
 
 
-def _add_io_flags(p: argparse.ArgumentParser, labels: str = "optional") -> None:
-    p.add_argument("--images", required=True, help="EMB1 file of image embeddings")
-    p.add_argument("--kb", required=True, help="knowledge-base JSON file")
-    if labels != "none":
-        p.add_argument(
-            "--labels",
-            required=labels == "required",
-            help="gold labels, one index or class name per line",
-        )
-    p.add_argument(
-        "--marginal",
-        help="JSON array of class weights for the transport column marginal "
-        "(default: uniform)",
-    )
-
-
-def _add_chain_flags(p: argparse.ArgumentParser, stages: int = 3) -> None:
-    """Flags of the first ``stages`` kpl_full stages: retrieval, transport, learning."""
-    p.add_argument("--k", type=int, help="descriptions retrieved per class (default 3)")
-    if stages >= 2:
-        p.add_argument("--algorithm", choices=ALGORITHMS, help="transport solver")
-        p.add_argument("--tau-ot", type=float, help="transport temperature")
-        p.add_argument("--max-iterations", type=int, help="solver iteration cap")
-        p.add_argument("--tolerance", type=float, help="marginal violation target")
-    if stages >= 3:
-        p.add_argument("--tau-learn", type=float, help="softmax temperature for learning")
-        p.add_argument("--lr", dest="learning_rate", type=float, help="learning rate")
-        p.add_argument("--momentum", type=float, help="descent momentum in [0, 1)")
-        p.add_argument("--epochs", dest="max_epochs", type=int, help="maximum learning epochs")
-
-
 def _flags(args, config) -> dict:
     """Keyword arguments for the dataclass ``config`` from the flags the user set."""
     return {
@@ -183,10 +152,6 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-# The stage subcommands are views of the kpl_full chain (their parsers set the
-# mode): each runs the chain up to the stage whose output it shows.
-
-
 def _cmd_retrieve(args) -> int:
     spec, inputs = _load(args)
     kb = inputs.kb
@@ -285,47 +250,56 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
 
-    for name, help_text, labels, out_help, handler in (
-        ("pipeline", "run one mode end to end and write a report", "optional",
+    # Each chain subcommand is a view of the kpl_full chain with the flags of its
+    # first `stages` stages (1 retrieval, 2 transport, 3 learning). pipeline, eval
+    # and classify run whichever --mode they are given; the other four run
+    # kpl_full up to the stage whose output they write.
+    for name, help_text, labels, stages, out_help, handler in (
+        ("pipeline", "run one mode end to end and write a report", "optional", 3,
          "report JSON path (predictions CSV lands beside it)", _cmd_pipeline),
-        ("eval", "pipeline with gold labels required", "required",
+        ("eval", "pipeline with gold labels required", "required", 3,
          "report JSON path (predictions CSV lands beside it)", _cmd_pipeline),
-        ("classify", "write predictions CSV only", "none",
+        ("classify", "write predictions CSV only", "none", 3,
          "predictions CSV path", _cmd_classify),
+        ("retrieve", "score and select top-k descriptions per class", "none", 1,
+         "retrieval JSON path", _cmd_retrieve),
+        ("plan", "solve the transport problem and dump pseudo-labels", "none", 2,
+         "plan JSON path", _cmd_plan),
+        ("learn", "learn multimodal proxies and write them as EMB1", "none", 3,
+         "EMB1 path for the learned proxies", _cmd_learn),
+        ("bench-ot", "race the transport solvers on one instance", "none", 2,
+         "optional JSON path for the comparison table", _cmd_bench_ot),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--mode", required=True, choices=MODES)
-        _add_io_flags(p, labels=labels)
-        _add_chain_flags(p)
-        p.add_argument(
-            "--seed", type=int, help="recorded in the report; the run is deterministic"
-        )
-        p.add_argument("--out", required=True, help=out_help)
-        p.set_defaults(handler=handler)
-
-    p = sub.add_parser("retrieve", help="score and select top-k descriptions per class")
-    _add_io_flags(p, labels="none")
-    _add_chain_flags(p, stages=1)
-    p.add_argument("--out", required=True, help="retrieval JSON path")
-    p.set_defaults(handler=_cmd_retrieve, mode="kpl_full")
-
-    p = sub.add_parser("plan", help="solve the transport problem and dump pseudo-labels")
-    _add_io_flags(p, labels="none")
-    _add_chain_flags(p, stages=2)
-    p.add_argument("--out", required=True, help="plan JSON path")
-    p.set_defaults(handler=_cmd_plan, mode="kpl_full")
-
-    p = sub.add_parser("learn", help="learn multimodal proxies and write them as EMB1")
-    _add_io_flags(p, labels="none")
-    _add_chain_flags(p)
-    p.add_argument("--out", required=True, help="EMB1 path for the learned proxies")
-    p.set_defaults(handler=_cmd_learn, mode="kpl_full")
-
-    p = sub.add_parser("bench-ot", help="race the transport solvers on one instance")
-    _add_io_flags(p, labels="none")
-    _add_chain_flags(p, stages=2)
-    p.add_argument("--out", help="optional JSON path for the comparison table")
-    p.set_defaults(handler=_cmd_bench_ot, mode="kpl_full")
+        whole_mode = handler in (_cmd_pipeline, _cmd_classify)
+        p.set_defaults(handler=handler, mode=None if whole_mode else "kpl_full")
+        if whole_mode:
+            p.add_argument("--mode", required=True, choices=MODES)
+        p.add_argument("--images", required=True, help="EMB1 file of image embeddings")
+        p.add_argument("--kb", required=True, help="knowledge-base JSON file")
+        if labels != "none":
+            p.add_argument("--labels", required=labels == "required",
+                           help="gold labels, one index or class name per line")
+        p.add_argument("--marginal", help="JSON array of class weights for the transport "
+                       "column marginal (default: uniform)")
+        p.add_argument("--k", type=int, help="descriptions retrieved per class (default 3)")
+        if stages >= 2:
+            p.add_argument("--algorithm", choices=ALGORITHMS, help="transport solver")
+            p.add_argument("--tau-ot", type=float, help="transport temperature")
+            p.add_argument("--max-iterations", type=int, help="solver iteration cap")
+            p.add_argument("--tolerance", type=float, help="marginal violation target")
+        if stages >= 3:
+            p.add_argument("--tau-learn", type=float, help="softmax temperature for learning")
+            p.add_argument("--lr", dest="learning_rate", type=float, help="learning rate")
+            p.add_argument("--momentum", type=float, help="descent momentum in [0, 1)")
+            p.add_argument(
+                "--epochs", dest="max_epochs", type=int, help="maximum learning epochs"
+            )
+        if whole_mode:
+            p.add_argument(
+                "--seed", type=int, help="recorded in the report; the run is deterministic"
+            )
+        p.add_argument("--out", required=handler is not _cmd_bench_ot, help=out_help)
 
     p = sub.add_parser("gen-fixture", help="generate a synthetic modality-gap fixture")
     p.add_argument("--seed", type=int, required=True, help="64-bit generation seed")

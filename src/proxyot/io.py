@@ -82,8 +82,8 @@ def write_embeddings(matrix, path, dtype: str = "binary64") -> None:
 
 
 def _read_text(path) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
+    try:  # utf-8-sig: UTF-8 that drops one leading byte-order mark
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not valid UTF-8: {exc}") from exc
 

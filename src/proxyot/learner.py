@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericError, UsageError
-from .numerics import _BLOCK_ROWS, _finite_settings, as_matrix, l2_normalize_rows
+from .numerics import _BLOCK_ROWS, _as_2d, _finite_settings, as_matrix, l2_normalize_rows
 from .solvers import PseudoLabels
 
 __all__ = [
@@ -199,8 +199,11 @@ def learn(
 
 
 def classify(images, w: ProxyWeights) -> np.ndarray:
-    """Argmax inner product per image; ties break to the lowest class index."""
-    x = as_matrix(images, "image embeddings")
+    """Argmax inner product per image; ties break to the lowest class index.
+
+    Only non-finite logits make ``as_matrix`` scan the images to name the entry.
+    """
+    x = _as_2d(images, "image embeddings")
     if x.shape[1] != w.w.shape[1]:
         raise UsageError(
             f"images have dim {x.shape[1]} but proxies have dim {w.w.shape[1]}"
@@ -211,6 +214,10 @@ def classify(images, w: ProxyWeights) -> np.ndarray:
         # the last block takes the remainder: BLAS rounds a product of a few
         # rows differently from the same rows inside a longer product
         stop = start + _BLOCK_ROWS if len(x) - start >= 2 * _BLOCK_ROWS else len(x)
-        labels[start:stop] = np.argmax(x[start:stop] @ w.w.T, axis=1)
+        with np.errstate(invalid="ignore"):  # inf * 0, inf - inf
+            logits = x[start:stop] @ w.w.T
+        if not np.all(np.isfinite(logits)):
+            as_matrix(x, "image embeddings")
+        labels[start:stop] = np.argmax(logits, axis=1)
         start = stop
     return labels

@@ -1,11 +1,11 @@
 """Float64 input checks and the shared kernels: log-sum-exp, softmax, row normalization.
 
-``as_matrix`` turns input into a 2-D float64 array with finite entries. The
-solvers and retrieval build on these helpers but also do their own
-arithmetic; the learner takes only the checks and row normalization from
-here and computes its softmax over K x N logits itself. Every exponential
-here goes through a max-shift, so log-domain values may be -inf but never
-+inf or NaN.
+``as_matrix`` turns input into a 2-D float64 array with finite entries. Row
+normalization, the mean image feature and ``classify`` find a non-finite entry
+through a value they compute anyway and call it only to name that entry. The
+solvers and retrieval build on these helpers; the learner computes its softmax
+over K x N logits itself. Every exponential here goes through a max-shift, so
+log-domain values may be -inf but never +inf or NaN.
 """
 
 from __future__ import annotations
@@ -27,11 +27,16 @@ __all__ = [
 _BLOCK_ROWS = 8192
 
 
-def as_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D float64 array, rejecting non-finite entries."""
+def _as_2d(m, name: str) -> np.ndarray:
     out = np.asarray(m, dtype=np.float64)
     if out.ndim != 2:
         raise UsageError(f"{name} must be 2-D, got {out.ndim}-D")
+    return out
+
+
+def as_matrix(m, name: str = "matrix") -> np.ndarray:
+    """Coerce to a 2-D float64 array, rejecting non-finite entries."""
+    out = _as_2d(m, name)
     for start in range(0, len(out), _BLOCK_ROWS):
         block = out[start : start + _BLOCK_ROWS]
         if not np.all(np.isfinite(block)):
@@ -99,23 +104,26 @@ def l2_normalize_rows(m, copy: bool = True) -> np.ndarray:
     With ``copy=False`` a float64 array is normalized in place and returned
     (other input is converted first); if that raises, rows before the
     offending one may already be normalized.
+
+    A row holding inf or NaN has a non-finite norm, so it is an odd row; only
+    such a row or an all-zero one makes ``as_matrix`` scan the whole input.
     """
-    mat = as_matrix(m, "l2_normalize input")
+    mat = _as_2d(m, "l2_normalize input")
     out = np.empty_like(mat) if copy else mat
     for start in range(0, len(mat), _BLOCK_ROWS):
         block = mat[start : start + _BLOCK_ROWS]
         dst = out[start : start + _BLOCK_ROWS]
         with np.errstate(over="ignore"):
             norms = np.linalg.norm(block, axis=1)
-        odd = np.flatnonzero((norms < _MIN_PLAIN_NORM) | np.isinf(norms))
+        odd = np.flatnonzero(~(norms >= _MIN_PLAIN_NORM) | np.isinf(norms))
         norms[odd] = 1.0  # these rows come through unchanged and are rescaled below
         np.divide(block, norms[:, None], out=dst)
         if odd.size:
             rows = dst[odd]
             top = np.abs(rows).max(axis=1, initial=0.0)  # an N x 0 row is all zero
-            zero = odd[top == 0.0]
-            if zero.size:
-                raise DataError(f"cannot normalize all-zero row {start + zero[0]}")
+            if not np.all((top > 0.0) & (top < np.inf)):  # a zero, inf or NaN row
+                as_matrix(mat, "l2_normalize input")  # names a non-finite entry first
+                raise DataError(f"cannot normalize all-zero row {start + odd[top == 0.0][0]}")
             rows /= top[:, None]
             dst[odd] = rows / np.linalg.norm(rows, axis=1)[:, None]
     return out

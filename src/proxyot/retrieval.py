@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DataError, UsageError
 from .learner import ProxyWeights
-from .numerics import as_matrix, as_vector, l2_normalize_rows
+from .numerics import _as_2d, as_matrix, as_vector, l2_normalize_rows
 
 __all__ = [
     "ClassRecord",
@@ -149,11 +149,18 @@ class RetrievalResult:
 
 
 def mean_image_feature(images) -> np.ndarray:
-    """Arithmetic mean of the image embedding rows, deliberately unnormalized."""
-    mat = as_matrix(images, "image embeddings")
+    """Arithmetic mean of the image embedding rows, deliberately unnormalized.
+
+    Only a non-finite mean makes ``as_matrix`` scan the input to name the entry.
+    """
+    mat = _as_2d(images, "image embeddings")
     if mat.shape[0] == 0:
         raise UsageError("cannot take the mean image feature of an empty dataset")
-    return mat.mean(axis=0)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        mean = mat.mean(axis=0)
+    if not np.all(np.isfinite(mean)):
+        as_matrix(mat, "image embeddings")
+    return mean
 
 
 def score_descriptions(mean_feat, kb: KnowledgeBase, class_index: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import inline_kb_doc
 from proxyot import io as pio
-from proxyot.cli import main
+from proxyot.cli import build_parser, main
 from proxyot.solvers import SolverConfig
 
 
@@ -591,6 +592,58 @@ class TestBadSettingsAndData:
         assert len(err) == 1 and err[0].startswith("data error: class 'class_01': ")
         norm = err[0].split("name embedding has norm ")[1].removesuffix(", expected 1")
         assert float(norm) == pytest.approx(2.0)
+
+
+_IO = ("--images", "--kb")
+_RETRIEVAL = ("--k",)
+_TRANSPORT = ("--algorithm", "--tau-ot", "--max-iterations", "--tolerance")
+_LEARNING = ("--tau-learn", "--lr", "--momentum", "--epochs")
+_CHAIN = (*_RETRIEVAL, *_TRANSPORT, *_LEARNING)
+# subcommand -> (its option strings in help order, the required ones)
+SUBCOMMAND_OPTIONS = {
+    "pipeline": (("--mode", *_IO, "--labels", "--marginal", *_CHAIN, "--seed", "--out"),
+                 {"--mode", *_IO, "--out"}),
+    "eval": (("--mode", *_IO, "--labels", "--marginal", *_CHAIN, "--seed", "--out"),
+             {"--mode", *_IO, "--labels", "--out"}),
+    "classify": (("--mode", *_IO, "--marginal", *_CHAIN, "--seed", "--out"),
+                 {"--mode", *_IO, "--out"}),
+    "retrieve": ((*_IO, "--marginal", *_RETRIEVAL, "--out"), {*_IO, "--out"}),
+    "plan": ((*_IO, "--marginal", *_RETRIEVAL, *_TRANSPORT, "--out"), {*_IO, "--out"}),
+    "learn": ((*_IO, "--marginal", *_CHAIN, "--out"), {*_IO, "--out"}),
+    "bench-ot": ((*_IO, "--marginal", *_RETRIEVAL, *_TRANSPORT, "--out"), set(_IO)),
+    "gen-fixture": (
+        ("--seed", "--out", "--n", "--classes", "--dim", "--separation", "--angle",
+         "--offset", "--noise", "--descriptions", "--name-noise"),
+        {"--seed", "--out"},
+    ),
+}
+
+
+class TestParserTable:
+    """Which options each subcommand takes, and which it requires, stay frozen."""
+
+    def _subparsers(self):
+        (action,) = [
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        return action.choices
+
+    def test_options_and_required_flags(self):
+        got = {}
+        for name, sub in self._subparsers().items():
+            actions = [a for a in sub._actions if a.option_strings != ["-h", "--help"]]
+            got[name] = (
+                tuple(a.option_strings[0] for a in actions),
+                {a.option_strings[0] for a in actions if a.required},
+            )
+        assert got == SUBCOMMAND_OPTIONS
+
+    @pytest.mark.parametrize("command", ["retrieve", "plan", "learn", "bench-ot"])
+    def test_stage_views_run_kpl_full(self, command):
+        args = build_parser().parse_args(
+            [command, "--images", "i.emb", "--kb", "kb.json", "--out", "o"]
+        )
+        assert args.mode == "kpl_full"
 
 
 class TestPipelineCommand:

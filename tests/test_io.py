@@ -455,6 +455,29 @@ def test_text_that_is_not_utf8_is_data_error(tmp_path, reader):
         read(bad)
 
 
+def _kb_fields(kb):
+    return kb.dim, kb.names, [(c.descriptions, c.embeddings.tolist()) for c in kb.classes]
+
+
+@pytest.mark.parametrize(
+    "reader, text",
+    [("kb", json.dumps(_kb_doc())), ("labels", "beta\n0\nalpha\n"), ("marginal", "[1, 3]")],
+    ids=["kb", "labels", "marginal"],
+)
+def test_leading_byte_order_mark_is_ignored(tmp_path, reader, text):
+    kb_path = tmp_path / "kb.json"
+    kb_path.write_text(json.dumps(_kb_doc()))
+    read = {
+        "kb": lambda p: _kb_fields(pio.read_knowledge_base(p)),
+        "labels": lambda p: pio.read_labels(p, pio.read_knowledge_base(kb_path)).tolist(),
+        "marginal": lambda p: pio.read_marginal(p).q.tolist(),
+    }[reader]
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert read(marked) == read(plain)
+
+
 def test_empty_payload_with_absurd_shape_is_data_error(tmp_path):
     path = tmp_path / "wide.emb"
     pio.write_embeddings(np.zeros((0, 1)), path)

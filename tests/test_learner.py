@@ -18,7 +18,7 @@ from proxyot.learner import (
     learn,
     loss,
 )
-from proxyot.numerics import _lse, as_matrix, l2_normalize_rows, softmax_rows
+from proxyot.numerics import _BLOCK_ROWS, _lse, as_matrix, l2_normalize_rows, softmax_rows
 from proxyot.pipeline import RunSpec, load, run, text_stage, transport_stage
 from proxyot.solvers import PseudoLabels
 
@@ -575,6 +575,18 @@ class TestClassify:
     def test_tie_breaks_to_lowest_index(self):
         w = ProxyWeights(np.array([[1.0, 0.0], [1.0, 0.0]]))
         np.testing.assert_array_equal(classify(np.array([[1.0, 0.0]]), w), [0])
+
+    @pytest.mark.parametrize("row", [_BLOCK_ROWS, 2 * _BLOCK_ROWS + 2])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_in_a_later_block_is_named(self, row, value):
+        # two blocks: rows [0, 8192) and the remainder [8192, 16387)
+        rng = np.random.default_rng(3)
+        images = unit_rows(rng, (2 * _BLOCK_ROWS + 3, 4))
+        images[row, 2] = value
+        w = ProxyWeights(unit_rows(rng, (3, 4)))
+        message = rf"image embeddings has non-finite entry at \({row}, 2\): {value}$"
+        with pytest.raises(DataError, match=message):
+            classify(images, w)
 
 
 class TestLearnConfigValidation:
