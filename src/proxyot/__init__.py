@@ -21,14 +21,9 @@ from .learner import (
     LearnTrace,
     ProxyWeights,
     classify,
-    gradient,
     learn,
-    loss,
 )
-from .numerics import (
-    l2_normalize_rows,
-    softmax_rows,
-)
+from .numerics import l2_normalize_rows
 from .pipeline import MODES, RunReport, RunSpec, accuracy, bench_solvers, run
 from .retrieval import (
     ClassRecord,
@@ -63,7 +58,6 @@ __all__ = [
     "DataError",
     "NumericError",
     "NumericOverflowError",
-    "softmax_rows",
     "l2_normalize_rows",
     "ALGORITHMS",
     "ClassMarginal",
@@ -89,8 +83,6 @@ __all__ = [
     "ProxyWeights",
     "LearnConfig",
     "LearnTrace",
-    "loss",
-    "gradient",
     "learn",
     "classify",
     "MODES",

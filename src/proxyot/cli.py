@@ -253,7 +253,8 @@ def build_parser() -> _Parser:
     # Each chain subcommand is a view of the kpl_full chain with the flags of its
     # first `stages` stages (1 retrieval, 2 transport, 3 learning). pipeline, eval
     # and classify run whichever --mode they are given; the other four run
-    # kpl_full up to the stage whose output they write.
+    # kpl_full up to the stage whose output they write. Only pipeline and eval
+    # write a report, so only they take --seed.
     for name, help_text, labels, stages, out_help, handler in (
         ("pipeline", "run one mode end to end and write a report", "optional", 3,
          "report JSON path (predictions CSV lands beside it)", _cmd_pipeline),
@@ -280,8 +281,9 @@ def build_parser() -> _Parser:
         if labels != "none":
             p.add_argument("--labels", required=labels == "required",
                            help="gold labels, one index or class name per line")
-        p.add_argument("--marginal", help="JSON array of class weights for the transport "
-                       "column marginal (default: uniform)")
+        if stages >= 2:
+            p.add_argument("--marginal", help="JSON array of class weights for the "
+                           "transport column marginal (default: uniform)")
         p.add_argument("--k", type=int, help="descriptions retrieved per class (default 3)")
         if stages >= 2:
             p.add_argument("--algorithm", choices=ALGORITHMS, help="transport solver")
@@ -295,7 +297,7 @@ def build_parser() -> _Parser:
             p.add_argument(
                 "--epochs", dest="max_epochs", type=int, help="maximum learning epochs"
             )
-        if whole_mode:
+        if handler is _cmd_pipeline:
             p.add_argument(
                 "--seed", type=int, help="recorded in the report; the run is deterministic"
             )

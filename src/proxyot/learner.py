@@ -29,8 +29,6 @@ __all__ = [
     "ProxyWeights",
     "LearnConfig",
     "LearnTrace",
-    "loss",
-    "gradient",
     "learn",
     "classify",
 ]
@@ -44,6 +42,8 @@ class ProxyWeights:
 
     def __post_init__(self):
         w = as_matrix(self.w, "proxy weights")
+        if len(w) == 0:
+            raise UsageError("proxy weights has no rows: there is no class to predict")
         norms = np.linalg.norm(w, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-9):
             row = int(np.flatnonzero(np.abs(norms - 1.0) > 1e-9)[0])
@@ -89,10 +89,8 @@ class LearnTrace:
     stop_reason: str  # "converged" or "max_epochs"
 
 
-def _validated(w: np.ndarray, images, labels: PseudoLabels, tau: float) -> np.ndarray:
-    """Check tau and the shapes of one objective evaluation; return the image matrix."""
-    if tau <= 0:
-        raise UsageError(f"tau must be positive, got {tau}")
+def _validated(w: np.ndarray, images, labels: PseudoLabels) -> np.ndarray:
+    """Check the shapes of one objective evaluation; return the image matrix."""
     x = as_matrix(images, "image embeddings")
     (n, d), (k, dw) = x.shape, w.shape
     if n == 0:
@@ -107,7 +105,7 @@ def _validated(w: np.ndarray, images, labels: PseudoLabels, tau: float) -> np.nd
 
 
 def _objective(x: np.ndarray, p: np.ndarray, tau: float):
-    """The function w -> (:func:`loss`, :func:`gradient`) over validated inputs.
+    """The function w -> (loss, gradient) over validated inputs.
 
     The terms of P alone are taken here, once. Each evaluation fills one
     K x N buffer with Z = W X^T, then exp((Z - top) / tau) with top each
@@ -145,16 +143,6 @@ def _objective(x: np.ndarray, p: np.ndarray, tau: float):
     return evaluate
 
 
-def loss(w: ProxyWeights, images, labels: PseudoLabels, tau: float) -> float:
-    """Mean KL(labels || softmax(images @ w.T / tau)) over the dataset."""
-    return _objective(_validated(w.w, images, labels, tau), labels.p, tau)(w.w)[0]
-
-
-def gradient(w: ProxyWeights, images, labels: PseudoLabels, tau: float) -> np.ndarray:
-    """Analytic K x d gradient of :func:`loss`: (1/(N tau)) (Q - P)^T X, Q the softmax."""
-    return _objective(_validated(w.w, images, labels, tau), labels.p, tau)(w.w)[1]
-
-
 def learn(
     images,
     labels: PseudoLabels,
@@ -168,7 +156,7 @@ def learn(
     steps. Weight rows are re-normalized after every step.
     """
     w = init.w.copy()
-    x = _validated(w, images, labels, cfg.tau_learn)
+    x = _validated(w, images, labels)
     settings = f"learning_rate={cfg.learning_rate}, tau_learn={cfg.tau_learn}"
     velocity = np.zeros_like(w)
     # each evaluation gives this step's loss and the next step's gradient

@@ -1,11 +1,11 @@
-"""Float64 input checks and the shared kernels: log-sum-exp, softmax, row normalization.
+"""Float64 input checks and the shared kernels: log-sum-exp and row normalization.
 
 ``as_matrix`` turns input into a 2-D float64 array with finite entries. Row
 normalization, the mean image feature and ``classify`` find a non-finite entry
 through a value they compute anyway and call it only to name that entry. The
-solvers and retrieval build on these helpers; the learner computes its softmax
-over K x N logits itself. Every exponential here goes through a max-shift, so
-log-domain values may be -inf but never +inf or NaN.
+solvers and retrieval build on these helpers; the learner's softmax over K x N
+logits is the package's only one. Every exponential here goes through a
+max-shift, so log-domain values may be -inf but never +inf or NaN.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .errors import DataError, UsageError
 __all__ = [
     "as_matrix",
     "as_vector",
-    "softmax_rows",
     "l2_normalize_rows",
 ]
 
@@ -73,20 +72,6 @@ def _lse(a: np.ndarray, axis: int) -> np.ndarray:
     with np.errstate(divide="ignore"):
         out = safe_mx + np.log(np.sum(np.exp(a - safe_mx), axis=axis, keepdims=True))
     return np.squeeze(out, axis=axis)
-
-
-def softmax_rows(m, tau: float) -> np.ndarray:
-    """Temperature softmax per row: exp(m/tau) normalized row-wise.
-
-    The row maximum is subtracted before exponentiation, so any finite input
-    and any tau > 0 produce a strictly positive row-stochastic matrix.
-    """
-    if tau <= 0:
-        raise UsageError(f"softmax temperature must be positive, got {tau}")
-    mat = as_matrix(m, "softmax input")
-    shifted = (mat - mat.max(axis=1, keepdims=True)) / tau
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 # Below this norm the squared entries summed by np.linalg.norm are subnormal or

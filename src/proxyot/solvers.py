@@ -351,6 +351,8 @@ def entropic_objective(plan: TransportPlan, m, tau: float) -> float:
 
 def pseudo_labels(plan: TransportPlan) -> PseudoLabels:
     """Normalize each plan row to a probability vector over classes."""
+    if plan.log_p.shape[1] == 0:
+        raise UsageError(f"plan of shape {plan.log_p.shape} has no class columns")
     row_lse = _lse(plan.log_p, axis=1)
     empty = np.flatnonzero(np.isneginf(row_lse))
     if empty.size:

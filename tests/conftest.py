@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from proxyot import FixtureSpec, generate_fixture, write_fixture
+from proxyot import FixtureSpec, generate_fixture, learner, write_fixture
 from proxyot import io as pio
 from proxyot.retrieval import ClassRecord, KnowledgeBase
 
@@ -36,6 +36,23 @@ def reference_plan(m, tau, q, sweeps):
             for i in range(n):
                 logp[i][j] += shift
     return np.array([[math.exp(v) for v in row] for row in logp])
+
+
+def softmax_rows(m, tau):
+    """Temperature softmax per row, exp(m / tau) shifted by each row's maximum."""
+    m = np.asarray(m, dtype=np.float64)
+    e = np.exp((m - m.max(axis=1, keepdims=True)) / tau)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def loss(w, images, labels, tau):
+    """Mean KL(labels || softmax(images @ w.T / tau)), as ``learner.learn`` evaluates it."""
+    return learner._objective(learner._validated(w.w, images, labels), labels.p, tau)(w.w)[0]
+
+
+def gradient(w, images, labels, tau):
+    """The K x d gradient of :func:`loss`, as ``learner.learn`` evaluates it."""
+    return learner._objective(learner._validated(w.w, images, labels), labels.p, tau)(w.w)[1]
 
 
 def unit_rows(rng, shape):

@@ -14,11 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import gradient, loss, softmax_rows
 from proxyot import io as pio
 from proxyot.errors import NumericOverflowError
 from proxyot.fixture import FixtureSpec, generate_fixture, write_fixture
-from proxyot.learner import ProxyWeights, gradient, loss
-from proxyot.numerics import softmax_rows
+from proxyot.learner import ProxyWeights
 from proxyot.pipeline import RunSpec, run
 from proxyot.retrieval import build_text_proxies, description_proxies, retrieve, top_k
 from proxyot.solvers import (

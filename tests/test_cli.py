@@ -315,7 +315,7 @@ _READS = {
     "pipeline": ("images", "kb", "labels", "marginal"),
     "eval": ("images", "kb", "labels", "marginal"),
     "classify": ("images", "kb", "marginal"),
-    "retrieve": ("images", "kb", "marginal"),
+    "retrieve": ("images", "kb"),
     "plan": ("images", "kb", "marginal"),
     "learn": ("images", "kb", "marginal"),
     "bench-ot": ("images", "kb", "marginal"),
@@ -605,9 +605,9 @@ SUBCOMMAND_OPTIONS = {
                  {"--mode", *_IO, "--out"}),
     "eval": (("--mode", *_IO, "--labels", "--marginal", *_CHAIN, "--seed", "--out"),
              {"--mode", *_IO, "--labels", "--out"}),
-    "classify": (("--mode", *_IO, "--marginal", *_CHAIN, "--seed", "--out"),
+    "classify": (("--mode", *_IO, "--marginal", *_CHAIN, "--out"),
                  {"--mode", *_IO, "--out"}),
-    "retrieve": ((*_IO, "--marginal", *_RETRIEVAL, "--out"), {*_IO, "--out"}),
+    "retrieve": ((*_IO, *_RETRIEVAL, "--out"), {*_IO, "--out"}),
     "plan": ((*_IO, "--marginal", *_RETRIEVAL, *_TRANSPORT, "--out"), {*_IO, "--out"}),
     "learn": ((*_IO, "--marginal", *_CHAIN, "--out"), {*_IO, "--out"}),
     "bench-ot": ((*_IO, "--marginal", *_RETRIEVAL, *_TRANSPORT, "--out"), set(_IO)),
@@ -644,6 +644,30 @@ class TestParserTable:
             [command, "--images", "i.emb", "--kb", "kb.json", "--out", "o"]
         )
         assert args.mode == "kpl_full"
+
+    @pytest.mark.parametrize(
+        "command, flag, extra",
+        [("classify", "--seed", ["--mode", "kpl_text"]), ("retrieve", "--marginal", [])],
+        ids=["classify-seed", "retrieve-marginal"],
+    )
+    def test_flag_that_changes_no_output_is_refused(
+        self, cli_fixture, tmp_path, capsys, command, flag, extra
+    ):
+        """classify writes no report to record a seed in; retrieve solves no transport."""
+        marginal = tmp_path / "m.json"
+        marginal.write_text("[1, 2, 1]\n")
+        value = {"--seed": "1", "--marginal": str(marginal)}[flag]
+        out = tmp_path / "out"
+        code = main(
+            [command, *extra, "--images", str(cli_fixture / "images.emb"),
+             "--kb", str(cli_fixture / "kb.json"), flag, value, "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("usage error:")] == [
+            f"usage error: unrecognized arguments: {flag} {value}"
+        ]
+        assert not out.exists()
 
 
 class TestPipelineCommand:

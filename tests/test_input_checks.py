@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import make_kb, unit_rows
 from proxyot.errors import DataError
-from proxyot.learner import LearnConfig, ProxyWeights, classify, gradient, learn, loss
+from proxyot.learner import LearnConfig, ProxyWeights, classify, learn
 from proxyot.numerics import _BLOCK_ROWS
 from proxyot.retrieval import mean_image_feature, name_proxies, retrieve
 from proxyot.solvers import (
@@ -75,8 +75,6 @@ def test_learn_loss_and_gradient(case):
     clean, bad, entry = case
     labels, w = _learning_inputs(clean)
     assert_rejects(lambda: learn(bad, labels, w, LearnConfig(max_epochs=1)), entry)
-    assert_rejects(lambda: loss(w, bad, labels, 0.1), entry)
-    assert_rejects(lambda: gradient(w, bad, labels, 0.1), entry)
 
 
 @BOUNDED

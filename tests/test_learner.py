@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import unit_rows
+from conftest import gradient, loss, softmax_rows, unit_rows
 
 from proxyot import FixtureSpec, generate_fixture, learner, write_fixture
 from proxyot.errors import DataError, NumericError, UsageError
@@ -14,11 +14,9 @@ from proxyot.learner import (
     LearnTrace,
     ProxyWeights,
     classify,
-    gradient,
     learn,
-    loss,
 )
-from proxyot.numerics import _BLOCK_ROWS, _lse, as_matrix, l2_normalize_rows, softmax_rows
+from proxyot.numerics import _BLOCK_ROWS, _lse, as_matrix, l2_normalize_rows
 from proxyot.pipeline import RunSpec, load, run, text_stage, transport_stage
 from proxyot.solvers import PseudoLabels
 
