@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Race the three transport solvers on one instance, then break the fragile one.
+"""Race the four transport solvers on one instance, then break the fragile one.
 
-All three compute the same coupling (the diagonal scaling of exp(M/tau) that
+All four compute the same coupling (the diagonal scaling of exp(M/tau) that
 meets both marginals), so on a benign instance they agree to many digits.
-At tau = 0.001 the linear-domain solver overflows immediately while both
-log-domain solvers keep working.
+At tau = 0.001 the linear-domain solver overflows immediately while the
+three log-domain solvers keep working.
 """
 
 import time
@@ -25,7 +25,7 @@ m = rng.uniform(-1.0, 1.0, size=(64, 8))
 q = ClassMarginal.uniform(8)
 
 print("=== benign instance: 64 x 8, entries U[-1,1], tau = 0.05 ===")
-for algorithm in ("sinkhorn_linear", "sinkhorn_log", "stable_greenkhorn"):
+for algorithm in ("sinkhorn_linear", "sinkhorn_log", "stable_greenkhorn", "newton_semidual"):
     cfg = SolverConfig(
         tau_ot=0.05, max_iterations=100_000, tolerance=1e-9, algorithm=algorithm
     )
@@ -40,7 +40,8 @@ for algorithm in ("sinkhorn_linear", "sinkhorn_log", "stable_greenkhorn"):
     )
 
 # Note the iteration counts: one Sinkhorn iteration is a full double sweep
-# (N + K line rescalings), one greedy iteration touches a single line.
+# (N + K line rescalings), one greedy iteration touches a single line, and
+# one Newton iteration is a pass over the matrix plus a K x K solve.
 
 print()
 print("=== stress instance: entries +/-1, tau = 0.001 (exponents +/-1000) ===")
@@ -50,7 +51,7 @@ try:
     sinkhorn_linear(stress, SolverConfig(tau_ot=1e-3), q2)
 except NumericOverflowError as exc:
     print(f"sinkhorn_linear    raises: {exc}")
-for algorithm in ("sinkhorn_log", "stable_greenkhorn"):
+for algorithm in ("sinkhorn_log", "stable_greenkhorn", "newton_semidual"):
     cfg = SolverConfig(
         tau_ot=1e-3, max_iterations=50_000, tolerance=1e-6, algorithm=algorithm
     )

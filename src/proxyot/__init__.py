@@ -44,6 +44,7 @@ from .solvers import (
     SolverConfig,
     TransportPlan,
     entropic_objective,
+    newton_semidual,
     pseudo_labels,
     sinkhorn_linear,
     sinkhorn_log,
@@ -67,6 +68,7 @@ __all__ = [
     "sinkhorn_linear",
     "sinkhorn_log",
     "stable_greenkhorn",
+    "newton_semidual",
     "solve",
     "entropic_objective",
     "pseudo_labels",

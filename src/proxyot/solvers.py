@@ -1,14 +1,16 @@
 """Entropic optimal-transport solvers over a similarity matrix.
 
-All three solvers compute the same coupling: the unique maximizer of
+All four solvers compute the same coupling: the unique maximizer of
 ``<M, P> + tau * H(P)`` over matrices with fixed row mass 1/N and column
 masses q. ``sinkhorn_linear`` scales P = exp(M/tau) directly and is the
 deliberately fragile baseline; ``sinkhorn_log`` performs the identical
 alternating normalization in log space, one vectorized sweep over all rows
-and columns per iteration, and is the default; ``stable_greenkhorn``
-starts from the row-normalized kernel, then greedily rescales only the single
-row or column with the worst absolute marginal violation, keeping its line
-sums incrementally across updates, again entirely in log space.
+and columns per iteration; ``stable_greenkhorn`` starts from the
+row-normalized kernel, then greedily rescales only the single row or column
+with the worst absolute marginal violation, keeping its line sums
+incrementally across updates, again entirely in log space.
+``newton_semidual``, the default, keeps every row exact and solves for the K
+column potentials by Newton's method, one step per iteration.
 
 Plans are stored in log domain (``log_p``); -inf encodes zero mass and is
 the only permitted non-finite value.
@@ -33,6 +35,7 @@ __all__ = [
     "sinkhorn_linear",
     "sinkhorn_log",
     "stable_greenkhorn",
+    "newton_semidual",
     "solve",
     "entropic_objective",
     "pseudo_labels",
@@ -40,6 +43,16 @@ __all__ = [
 
 # Greedy's incremental line sums drift; rebuild them from the plan this often.
 _REFRESH_EVERY = 1000
+
+# Newton: the damping weight on the largest class-mass violation, a damping
+# floor far above float64 rounding of a K x K system with entries up to 2, the
+# Armijo fraction of the predicted decrease, the line search's halvings before
+# it rejects a step, and the relative rounding of a computed change in F.
+_DAMPING = 0.1
+_MIN_DAMPING = 1e-12
+_ARMIJO = 1e-4
+_HALVINGS = 40
+_EPS = 4 * 2.220446049250313e-16  # four float64 epsilons
 
 
 def _weights(w) -> np.ndarray:
@@ -94,7 +107,7 @@ class SolverConfig:
     tau_ot: float = 0.01
     max_iterations: int = 100_000
     tolerance: float = 1e-6
-    algorithm: str = "sinkhorn_log"
+    algorithm: str = "newton_semidual"
 
     def __post_init__(self):
         if not self.tau_ot > 0:
@@ -325,10 +338,103 @@ def stable_greenkhorn(m, cfg: SolverConfig, q: ClassMarginal) -> TransportPlan:
     return _finish(log_p, iterations, *_violations(p, row_target, qv), tol)
 
 
+def _softmax_columns(s: np.ndarray, g: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Fill ``a`` with the column softmax of s + g (K x N); return each column's log-sum-exp."""
+    np.add(s, g[:, None], out=a)
+    top = a.max(axis=0)
+    a -= top
+    np.exp(a, out=a)
+    total = a.sum(axis=0)
+    a /= total
+    return top + np.log(total)
+
+
+def newton_semidual(m, cfg: SolverConfig, q: ClassMarginal) -> TransportPlan:
+    """Newton's method on the semi-dual over the K column potentials, one step per iteration.
+
+    Every row of the plan is the softmax of s_i + g scaled to mass 1/N, with
+    s = m/tau, so only the columns need solving for: the masses
+    (1/N) sum_i a_ij must reach q, where a_i is that softmax. They are the
+    gradient of the convex F(g) = (1/N) sum_i lse_j(s_ij + g_j) - q^T g,
+    whose Hessian H = (1/N)(diag(sum_i a_i) - A A^T) is only K x K. H is
+    singular along the all-ones vector (a constant added to g cancels), and
+    also where a class's mass underflows in every row; so each step solves
+    (H + 11^T/K + lam I) d = -grad with lam = _DAMPING * max|grad| plus a
+    floor that keeps the system regular in float64. lam fades as the masses
+    converge, so the last steps are Newton steps. The step centers d and
+    backtracks on F until it meets an Armijo decrease; F's change along d
+    comes from the softmax the step started at, so it keeps its digits when
+    the change is tiny.
+
+    Columns with zero target mass stay out of the system and get log_p = -inf.
+    The stop test runs on the start and after each step. A step whose
+    decrease is within the rounding of s + g, or that no halving makes
+    decrease F, leaves g unchanged, as would every later one; the solve ends
+    there and reports what running out its cap would.
+    """
+    mat, qv = _check_inputs(m, q)
+    n, k = mat.shape
+    positive = qv > 0
+    qp = qv[positive]
+    s = np.ascontiguousarray(_scaled(mat, cfg.tau_ot).T[positive])  # K x N, class mass only
+    a = np.empty_like(s)
+    log_pt = np.full((k, n), -np.inf)
+    log_p = log_pt.T  # the N x K plan is a view of the class-major buffer
+    rows = log_pt if qp.size == k else np.empty_like(s)  # the plan's positive-mass rows
+    ln_n = math.log(n)
+    ones = np.full((qp.size, qp.size), 1.0 / qp.size)
+    g = np.zeros(qp.size)
+    lse = _softmax_columns(s, g, a)
+    iterations = 0
+    while True:
+        np.add(s, g[:, None], out=rows)  # rounds as in the softmax, so rows hold 1/N
+        rows -= lse
+        rows -= ln_n
+        if rows is not log_pt:
+            log_pt[positive] = rows
+        rv, cv = _violations(np.exp(log_p), 1.0 / n, qv)
+        if (rv <= cfg.tolerance and cv <= cfg.tolerance) or iterations == cfg.max_iterations:
+            break
+        mass = a.sum(axis=1) / n
+        grad = mass - qp
+        h = (a @ a.T) / -n + ones
+        h.flat[:: qp.size + 1] += mass + _DAMPING * np.abs(grad).max() + _MIN_DAMPING
+        d = np.linalg.solve(h, -grad)
+        d -= d.mean()
+        slope = float(grad @ d)
+        # an error of one rounding in s + g moves F by about this much along d
+        noise = _EPS * (1.0 + np.abs(lse).max()) * np.abs(d).sum()
+        step = _armijo_step(a, qp, d, slope) if slope < -noise else None
+        if step is None:
+            iterations = cfg.max_iterations
+            break
+        g += step * d
+        lse = _softmax_columns(s, g, a)
+        iterations += 1
+    return _finish(log_p, iterations, rv, cv, cfg.tolerance)
+
+
+def _armijo_step(a: np.ndarray, qp: np.ndarray, d: np.ndarray, slope: float) -> float | None:
+    """The first of 1, 1/2, 1/4, ... that lowers F by Armijo's fraction of ``slope``.
+
+    F(g + t d) - F(g) = mean_i log(sum_j a_ij e^(t d_j)) - t q^T d, from the
+    softmax ``a`` at g; None when no step down to the floor meets the test.
+    """
+    t = 1.0
+    for _ in range(_HALVINGS):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            change = np.log1p(np.expm1(t * d) @ a).mean() - t * (qp @ d)
+        if -math.inf < change < _ARMIJO * t * slope:
+            return t
+        t *= 0.5
+    return None
+
+
 _SOLVERS = {
     "sinkhorn_linear": sinkhorn_linear,
     "sinkhorn_log": sinkhorn_log,
     "stable_greenkhorn": stable_greenkhorn,
+    "newton_semidual": newton_semidual,
 }
 ALGORITHMS = tuple(_SOLVERS)
 

@@ -130,7 +130,7 @@ def test_a4_diagonal_scaling_structure():
         q = ClassMarginal.uniform(5)
         for i in range(3):
             m = np.random.default_rng(BASE_SEED + 100 + i).uniform(-1, 1, size=(9, 5))
-            for algorithm in ("sinkhorn_linear", "sinkhorn_log", "stable_greenkhorn"):
+            for algorithm in ("sinkhorn_linear", "sinkhorn_log", "stable_greenkhorn", "newton_semidual"):
                 cfg = SolverConfig(
                     tau_ot=tau, max_iterations=5_000, tolerance=1e-9,
                     algorithm=algorithm,

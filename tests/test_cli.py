@@ -491,7 +491,7 @@ class TestNumericEdges:
         assert "epoch 1" in err[0] and "learning_rate=1e+308" in err[0]
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("algorithm", ["sinkhorn_linear", "sinkhorn_log", "stable_greenkhorn"])
+    @pytest.mark.parametrize("algorithm", ["sinkhorn_linear", "sinkhorn_log", "stable_greenkhorn", "newton_semidual"])
     def test_denormal_tau_is_numeric_error(self, cli_fixture, tmp_path, capsys, algorithm):
         code = self._stage(
             cli_fixture, tmp_path, "plan", "--tau-ot", "1e-310", "--algorithm", algorithm
@@ -770,7 +770,7 @@ class TestStageCommands:
         assert code == 0
         rows = json.loads(out.read_text())
         assert [r["algorithm"] for r in rows] == [
-            "sinkhorn_linear", "sinkhorn_log", "stable_greenkhorn"
+            "sinkhorn_linear", "sinkhorn_log", "stable_greenkhorn", "newton_semidual"
         ]
         assert all(r["status"] == "converged" for r in rows)
 

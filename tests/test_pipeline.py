@@ -124,7 +124,7 @@ class TestRunModes:
         text = run(_spec(small_fixture, "kpl_text"))
         assert text.solver_diagnostics is None and text.learn_summary is None
         full = run(_spec(small_fixture, "kpl_full"))
-        assert full.solver_diagnostics["algorithm"] == "sinkhorn_log"
+        assert full.solver_diagnostics["algorithm"] == "newton_semidual"
         assert full.learn_summary["epochs_run"] >= 1
 
     def test_zero_learning_rate_degenerates_to_text_mode(self, small_fixture):
@@ -165,7 +165,7 @@ class TestRunModes:
         cfg = report.config
         assert cfg["k"] == 3
         assert cfg["marginal"] == "uniform"
-        assert cfg["solver"]["algorithm"] == "sinkhorn_log"
+        assert cfg["solver"]["algorithm"] == "newton_semidual"
         assert cfg["learn"]["momentum"] == 0.5
         assert cfg["normalize_images"] is True
 
@@ -272,10 +272,10 @@ class TestBenchSolvers:
         q = ClassMarginal.uniform(4)
         configs = [
             SolverConfig(tau_ot=0.1, max_iterations=400_000, tolerance=1e-9, algorithm=a)
-            for a in ("sinkhorn_linear", "sinkhorn_log", "stable_greenkhorn")
+            for a in ("sinkhorn_linear", "sinkhorn_log", "stable_greenkhorn", "newton_semidual")
         ]
         rows = bench_solvers(m, q, configs)
-        assert [r["status"] for r in rows] == ["converged"] * 3
+        assert [r["status"] for r in rows] == ["converged"] * 4
         assert all(
             r["final_row_violation"] <= 1e-6 and r["final_col_violation"] <= 1e-6
             for r in rows
@@ -292,10 +292,11 @@ class TestBenchSolvers:
         q = ClassMarginal.uniform(2)
         configs = [
             SolverConfig(tau_ot=1e-3, max_iterations=5_000, tolerance=1e-6, algorithm=a)
-            for a in ("sinkhorn_linear", "sinkhorn_log", "stable_greenkhorn")
+            for a in ("sinkhorn_linear", "sinkhorn_log", "stable_greenkhorn", "newton_semidual")
         ]
         rows = bench_solvers(m, q, configs)
         assert rows[0]["status"] == "numeric_overflow"
         assert "sinkhorn_log" in rows[0]["error"]
         assert rows[1]["status"] == "converged"
         assert rows[2]["status"] == "converged"
+        assert rows[3]["status"] == "converged"

@@ -3,12 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_plan
 
-from proxyot.errors import DataError, NumericOverflowError, UsageError
+from proxyot.errors import DataError, NumericOverflowError, ProxyOTError, UsageError
 from proxyot.numerics import _lse
 from proxyot.solvers import (
     _REFRESH_EVERY,
@@ -21,6 +21,7 @@ from proxyot.solvers import (
     SolverConfig,
     TransportPlan,
     entropic_objective,
+    newton_semidual,
     pseudo_labels,
     sinkhorn_linear,
     sinkhorn_log,
@@ -69,7 +70,7 @@ class TestClassMarginal:
 class TestSolverConfig:
     def test_defaults(self):
         cfg = SolverConfig()
-        assert cfg.algorithm == "sinkhorn_log"
+        assert cfg.algorithm == "newton_semidual"
         assert cfg.max_iterations == 100_000
         assert cfg.tolerance == 1e-6
 
@@ -565,7 +566,7 @@ class TestCrossRatioInvariant:
     log P[i,j] + log P[i',j'] - log P[i,j'] - log P[i',j] must equal the same
     combination of m/tau."""
 
-    @pytest.mark.parametrize("algorithm", ["sinkhorn_linear", "sinkhorn_log", "stable_greenkhorn"])
+    @pytest.mark.parametrize("algorithm", ["sinkhorn_linear", "sinkhorn_log", "stable_greenkhorn", "newton_semidual"])
     def test_cross_ratio_preserved(self, algorithm):
         tau = 0.25
         m = random_instance(7, 5, BASE_SEED + 5)
@@ -595,7 +596,7 @@ class TestSolverAgreement:
         m = random_instance(9, 4, BASE_SEED + 7)
         q = ClassMarginal.uniform(4)
         plans = {}
-        for algorithm in ("sinkhorn_linear", "sinkhorn_log", "stable_greenkhorn"):
+        for algorithm in ("sinkhorn_linear", "sinkhorn_log", "stable_greenkhorn", "newton_semidual"):
             cfg = SolverConfig(
                 tau_ot=0.1, max_iterations=200_000, tolerance=1e-11, algorithm=algorithm
             )
@@ -603,6 +604,95 @@ class TestSolverAgreement:
         ref = plans["sinkhorn_log"]
         for name, p in plans.items():
             np.testing.assert_allclose(p, ref, atol=1e-6, err_msg=name)
+
+
+
+def unit_rows(rng, n, d):
+    m = rng.standard_normal((n, d))
+    return m / np.linalg.norm(m, axis=1, keepdims=True)
+
+
+@st.composite
+def newton_instances(draw):
+    """Small instances at every tau the solvers meet, down to 1e-3 (m/tau up to
+    1000); class weights of zero give zero-mass columns."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.integers(0, 3, size=k).astype(float)
+    if not weights.any():
+        weights[rng.integers(k)] = 1.0
+    tau = draw(st.sampled_from([1.0, 0.1, 0.02, 1e-3]))
+    return rng.uniform(-1.0, 1.0, size=(n, k)), tau, ClassMarginal.from_weights(weights)
+
+
+class TestNewtonSemidual:
+    def test_default_solve_converges_where_sweeps_run_out(self):
+        """Three unit rows each for images and proxies in d = 3: at tau 0.01 the
+        other three solvers run out a 100000-iteration cap on this instance."""
+        rng = np.random.default_rng(0)
+        images, proxies = unit_rows(rng, 3, 3), unit_rows(rng, 3, 3)
+        plan = solve(images @ proxies.T, SolverConfig(), ClassMarginal.uniform(3))
+        assert plan.converged
+        assert plan.iterations_used <= 20
+
+    @settings(max_examples=40, deadline=None)
+    @given(newton_instances())
+    def test_pseudo_labels_match_a_long_sinkhorn_log_run(self, instance):
+        m, tau, q = instance
+        oracle = sinkhorn_log(m, SolverConfig(tau_ot=tau, max_iterations=5_000, tolerance=1e-11), q)
+        assume(oracle.converged)
+        plan = newton_semidual(m, SolverConfig(tau_ot=tau, tolerance=1e-11), q)
+        assert plan.converged
+        assert np.array_equal(np.isneginf(plan.log_p), np.isneginf(oracle.log_p))
+        np.testing.assert_allclose(
+            pseudo_labels(plan).p, pseudo_labels(oracle).p, rtol=0, atol=1e-8
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(newton_instances())
+    def test_tolerance_zero_ends_at_its_cap_no_worse_than_tolerance_one_in_a_million(
+        self, instance
+    ):
+        """With the default cap of 100000 steps: the solve ends once a step has
+        no decrease left to measure, instead of running the cap out."""
+        m, tau, q = instance
+        cfg = SolverConfig(tau_ot=tau, algorithm="newton_semidual")
+        loose = solve(m, cfg, q)
+        exact = solve(m, replace(cfg, tolerance=0.0), q)
+        worst = max(exact.final_row_violation, exact.final_col_violation)
+        assert exact.converged == (worst == 0.0)
+        if not exact.converged:
+            assert exact.iterations_used == cfg.max_iterations
+        assert worst <= max(loose.final_row_violation, loose.final_col_violation)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.sampled_from([1e-2, 1e-3, 1e-6, 1e-300]),
+        st.sampled_from([0.0, 1e-6]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_saturated_instances_return_a_plan(self, n, k, tau, tolerance, seed):
+        """Tied and saturated similarities, down to softmax mass that underflows
+        in every row, and class weights across 300 decades never leak a numpy
+        error: H alone is singular there."""
+        rng = np.random.default_rng(seed)
+        m = rng.choice([-1.0, 0.0, 1.0], size=(n, k))
+        weights = rng.integers(0, 3, size=k) * 10.0 ** rng.integers(-300, 1, size=k)
+        if not weights.any():
+            weights[rng.integers(k)] = 1.0
+        q = ClassMarginal.from_weights(weights)
+        cfg = SolverConfig(tau_ot=tau, max_iterations=50, tolerance=tolerance)
+        try:
+            plan = newton_semidual(m, cfg, q)
+        except ProxyOTError:
+            return
+        rv, cv = plan.final_row_violation, plan.final_col_violation
+        assert not np.any(np.isnan(plan.log_p)) and not np.any(plan.log_p == np.inf)
+        assert plan.converged == (rv <= tolerance and cv <= tolerance)
+        assert (rv, cv) == _violations(np.exp(plan.log_p), 1 / n, q.q)
 
 
 def oracle_violations(plan, row_target, q):
