@@ -307,6 +307,11 @@ def write_knowledge_base(kb: KnowledgeBase, path) -> None:
     write_report({"dim": kb.dim, "embeddings_file": emb_path.name, "classes": classes}, path)
 
 
+# Characters per block of label lines: the reader holds one block's line
+# strings at a time, not one string per line of the file.
+_LABEL_BLOCK_CHARS = 1 << 16
+
+
 def read_labels(path, kb: KnowledgeBase) -> np.ndarray:
     """Read one label per line: a class index or a class name from the base.
 
@@ -316,30 +321,47 @@ def read_labels(path, kb: KnowledgeBase) -> np.ndarray:
     has that name; any other token (``+1``, ``1_0``, non-ASCII digits) must
     be a class name. Every token is looked up once in one table of names and
     index strings.
+
+    The reader holds the decoded text plus one block of whole lines (about
+    ``_LABEL_BLOCK_CHARS`` characters) and the int64 array it returns.
     """
     text = _read_text(path)
     if not text:
         raise DataError(f"{path}: label file is empty")
     table = {name: j for j, name in enumerate(kb.names) if name and not _is_index(name)}
     table.update((str(j), j) for j in range(kb.n_classes))
-    lines = text.split("\n")
-    if not lines[-1]:  # the newline that ends the last line
-        lines.pop()
+    end = len(text) - text.endswith("\n")  # a final newline ends the last line, starts none
+    labels = np.empty(text.count("\n", 0, end) + 1, dtype=np.int64)
+    row = start = 0
+    while start <= end:  # a block of whole lines ends at a newline or at `end`
+        stop = text.find("\n", start + _LABEL_BLOCK_CHARS, end)
+        stop = end if stop < 0 else stop
+        lines = text[start:stop].split("\n")
+        try:
+            labels[row : row + len(lines)] = np.fromiter(
+                map(table.__getitem__, _label_keys(lines)), np.int64, len(lines)
+            )
+        except KeyError:
+            bad = next(i for i, key in enumerate(_label_keys(lines)) if key not in table)
+            raise _label_error(path, kb, row + bad + 1, lines[bad].strip()) from None
+        row += len(lines)
+        start = stop + 1
+    return labels
 
-    def keys():  # an index's digits without leading zeros (_is_index inlined); else the token
-        tokens = map(str.strip, lines)
-        return (t.lstrip("0") or "0" if t.isascii() and t.isdigit() else t for t in tokens)
 
-    try:
-        return np.fromiter(map(table.__getitem__, keys()), dtype=np.int64, count=len(lines))
-    except KeyError:
-        lineno = next(n for n, key in enumerate(keys(), start=1) if key not in table)
-    token = lines[lineno - 1].strip()
+def _label_keys(lines):
+    """Each line's table key: an index's digits without leading zeros, else its token."""
+    tokens = map(str.strip, lines)  # _is_index inlined below
+    return (t.lstrip("0") or "0" if t.isascii() and t.isdigit() else t for t in tokens)
+
+
+def _label_error(path, kb: KnowledgeBase, lineno: int, token: str) -> DataError:
+    """The error for line ``lineno`` of ``path``, whose stripped token ``token`` failed."""
     if not token:
-        raise DataError(f"{path}:{lineno}: empty label line")
+        return DataError(f"{path}:{lineno}: empty label line")
     if _is_index(token):
-        raise DataError(f"{path}:{lineno}: label index {token} out of range [0, {kb.n_classes})")
-    raise DataError(f"{path}:{lineno}: label {token!r} is not a class name in the knowledge base")
+        return DataError(f"{path}:{lineno}: label index {token} out of range [0, {kb.n_classes})")
+    return DataError(f"{path}:{lineno}: label {token!r} is not a class name in the knowledge base")
 
 
 def _is_index(token: str) -> bool:

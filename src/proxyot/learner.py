@@ -189,23 +189,28 @@ def learn(
 def classify(images, w: ProxyWeights) -> np.ndarray:
     """Argmax inner product per image; ties break to the lowest class index.
 
-    Only non-finite logits make ``as_matrix`` scan the images to name the entry.
+    The logits are taken one block of rows at a time, into one buffer: N rows
+    split into ``ceil(N / _BLOCK_ROWS)`` blocks whose sizes differ by at most
+    one row. No block is wider than ``_BLOCK_ROWS``, and once N reaches it,
+    none is narrower than half of it. Only non-finite logits make
+    ``as_matrix`` scan the images to name the entry.
     """
     x = _as_2d(images, "image embeddings")
     if x.shape[1] != w.w.shape[1]:
         raise UsageError(
             f"images have dim {x.shape[1]} but proxies have dim {w.w.shape[1]}"
         )
-    labels = np.empty(len(x), dtype=np.intp)
-    start = 0
-    while start < len(x):  # the logits of one block of rows at a time
-        # the last block takes the remainder: BLAS rounds a product of a few
-        # rows differently from the same rows inside a longer product
-        stop = start + _BLOCK_ROWS if len(x) - start >= 2 * _BLOCK_ROWS else len(x)
+    n = len(x)
+    labels = np.empty(n, dtype=np.intp)
+    # equal blocks, never a last one of a few rows: BLAS rounds a product of a
+    # few rows differently from the same rows inside a longer product
+    blocks = max(1, -(-n // _BLOCK_ROWS))
+    buffer = np.empty((-(-n // blocks), len(w.w)))
+    for i in range(blocks):
+        start, stop = i * n // blocks, (i + 1) * n // blocks
         with np.errstate(invalid="ignore"):  # inf * 0, inf - inf
-            logits = x[start:stop] @ w.w.T
+            logits = np.matmul(x[start:stop], w.w.T, out=buffer[: stop - start])
         if not np.all(np.isfinite(logits)):
             as_matrix(x, "image embeddings")
         labels[start:stop] = np.argmax(logits, axis=1)
-        start = stop
     return labels

@@ -21,9 +21,10 @@ __all__ = [
 ]
 
 
-# Rows per block of the whole-matrix passes: their temporaries are one block,
-# not a second matrix.
-_BLOCK_ROWS = 8192
+# Rows per block of the whole-matrix passes (the finiteness scan, row
+# normalization, classify): their temporaries, and the packing buffer BLAS
+# takes for a block's product, grow with a block's rows, not with the matrix.
+_BLOCK_ROWS = 2048
 
 
 def _as_2d(m, name: str) -> np.ndarray:

@@ -9,10 +9,11 @@ read, and reports are the bytes ``json.dumps(doc, indent=2)`` gives.
 import json
 import struct
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import knowledge_bases
@@ -327,25 +328,36 @@ label_tokens = st.sampled_from(
 @BOUNDED
 @given(
     names=label_names,
-    tokens=st.lists(label_tokens, max_size=6),
+    tokens=st.lists(label_tokens, max_size=12),
     newline=st.sampled_from(["\n", "\r\n"]),
     trailing=st.booleans(),
+    bom=st.booleans(),
+    block=st.integers(1, 12) | st.just(pio._LABEL_BLOCK_CHARS),
 )
-def test_read_labels_matches_frozen_reference(work, names, tokens, newline, trailing):
+# blocks of a few characters split the lines at every position; these place
+# a failing token, CRLF, a missing or empty last line and a BOM past block 1
+@example(names=["a"], tokens=["a", "a", "a", "b"], newline="\n", trailing=True, bom=False, block=2)
+@example(names=["a"], tokens=["a", "0", "1"], newline="\r\n", trailing=False, bom=True, block=1)
+@example(names=["a"], tokens=["0", "a", ""], newline="\r\n", trailing=True, bom=True, block=3)
+@example(names=["a"], tokens=["00", "a", "a"], newline="\n", trailing=False, bom=False, block=4)
+def test_read_labels_matches_frozen_reference(
+    work, names, tokens, newline, trailing, bom, block
+):
     directory, _ = work
     kb = KnowledgeBase(
         tuple(ClassRecord(name, ("d",), np.array([[1.0]])) for name in names), dim=1
     )
     path = directory / "y_ref.txt"
     text = newline.join(tokens) + (newline if trailing and tokens else "")
-    path.write_bytes(text.encode("utf-8"))
-    try:
-        want = read_labels_reference(path, kb)
-    except DataError as exc:
-        with pytest.raises(DataError) as got:
-            pio.read_labels(path, kb)
-        assert str(got.value) == str(exc)
-    else:
-        got = pio.read_labels(path, kb)
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
+    path.write_bytes(("\ufeff" if bom else "").encode("utf-8") + text.encode("utf-8"))
+    with mock.patch.object(pio, "_LABEL_BLOCK_CHARS", block):
+        try:
+            want = read_labels_reference(path, kb)
+        except DataError as exc:
+            with pytest.raises(DataError) as got:
+                pio.read_labels(path, kb)
+            assert str(got.value) == str(exc)
+        else:
+            got = pio.read_labels(path, kb)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)

@@ -532,7 +532,8 @@ def classify_reference(images, w):
 def classify_instances(draw):
     """Images around the row-block edges; proxies may repeat, images may equal a proxy."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.sampled_from([0, 1, 8191, 8192, 8193, 16384, 16385, 20000, 24577]))
+    b = _BLOCK_ROWS
+    n = draw(st.sampled_from([0, 1, b - 1, b, b + 1, 2 * b - 1, 2 * b, 3 * b + 5, 20000]))
     k, d = draw(st.integers(1, 6)), draw(st.integers(1, 4))
     w = unit_rows(rng, (k, d))
     if k > 1 and draw(st.booleans()):  # exact ties between two classes
@@ -574,12 +575,25 @@ class TestClassify:
         w = ProxyWeights(np.array([[1.0, 0.0], [1.0, 0.0]]))
         np.testing.assert_array_equal(classify(np.array([[1.0, 0.0]]), w), [0])
 
-    @pytest.mark.parametrize("row", [_BLOCK_ROWS, 2 * _BLOCK_ROWS + 2])
+    @pytest.mark.parametrize(
+        "n",
+        [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS - 1, 3 * _BLOCK_ROWS + 5],
+    )
+    @pytest.mark.parametrize("k", [2, 50])
+    def test_block_split_changes_no_label(self, n, k):
+        rng = np.random.default_rng(n + k)
+        images = unit_rows(rng, (n, 128))
+        w = ProxyWeights(unit_rows(rng, (k, 128)))
+        np.testing.assert_array_equal(classify(images, w), classify_reference(images, w))
+
+    @pytest.mark.parametrize("row", [8192, 16386])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_entry_in_a_later_block_is_named(self, row, value):
-        # two blocks: rows [0, 8192) and the remainder [8192, 16387)
+        # no block is wider than _BLOCK_ROWS, so both rows sit past the first
+        # block, and row 16386 in the last one
+        assert row >= _BLOCK_ROWS
         rng = np.random.default_rng(3)
-        images = unit_rows(rng, (2 * _BLOCK_ROWS + 3, 4))
+        images = unit_rows(rng, (16387, 4))
         images[row, 2] = value
         w = ProxyWeights(unit_rows(rng, (3, 4)))
         message = rf"image embeddings has non-finite entry at \({row}, 2\): {value}$"
