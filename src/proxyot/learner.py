@@ -22,7 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericError, UsageError
-from .numerics import _BLOCK_ROWS, _as_2d, _finite_settings, as_matrix, l2_normalize_rows
+from .numerics import (
+    _BLOCK_ROWS,
+    _as_2d,
+    _finite_settings,
+    _softmax_columns,
+    as_matrix,
+    l2_normalize_rows,
+)
 from .solvers import PseudoLabels
 
 __all__ = [
@@ -131,12 +138,7 @@ def _objective(x: np.ndarray, p: np.ndarray, tau: float):
         # just inside tau's range a shifted logit, the loss or the gradient can
         # still overflow; the caller rejects a loss or step that is not finite
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            z -= top
-            z /= tau
-            np.exp(z, out=z)
-            total = z.sum(axis=0)
-            lse = top / tau + np.log(total)
-            z /= total
+            lse = _softmax_columns(z, top, tau)
             value = (p_log_p - np.vdot(ptx, w) / tau + r @ lse) / n
             return float(value), (z @ x - ptx) / (n * tau)
 

@@ -1,11 +1,12 @@
-"""Float64 input checks and the shared kernels: log-sum-exp and row normalization.
+"""Float64 input checks and the shared kernels: log-sum-exp, column softmax, row norms.
 
 ``as_matrix`` turns input into a 2-D float64 array with finite entries. Row
 normalization, the mean image feature and ``classify`` find a non-finite entry
 through a value they compute anyway and call it only to name that entry. The
-solvers and retrieval build on these helpers; the learner's softmax over K x N
-logits is the package's only one. Every exponential here goes through a
-max-shift, so log-domain values may be -inf but never +inf or NaN.
+solvers and retrieval build on these helpers. ``_softmax_columns`` is the only
+softmax over K x N scores: ``newton_semidual`` and the learner's objective call
+it. Every exponential here goes through a max-shift, so log-domain values may
+be -inf but never +inf or NaN.
 """
 
 from __future__ import annotations
@@ -73,6 +74,17 @@ def _lse(a: np.ndarray, axis: int) -> np.ndarray:
     with np.errstate(divide="ignore"):
         out = safe_mx + np.log(np.sum(np.exp(a - safe_mx), axis=axis, keepdims=True))
     return np.squeeze(out, axis=axis)
+
+
+def _softmax_columns(z: np.ndarray, top: np.ndarray, tau: float = 1.0) -> np.ndarray:
+    """Softmax each column of z / tau in place, given z's column maxima ``top``; return their lse."""
+    z -= top
+    if tau != 1.0:  # a division by 1 is a pass over z that changes no bit
+        z /= tau
+    np.exp(z, out=z)
+    total = z.sum(axis=0)
+    z /= total
+    return top / tau + np.log(total)
 
 
 # Below this norm the squared entries summed by np.linalg.norm are subnormal or

@@ -114,9 +114,9 @@ def accuracy(pred, gold) -> tuple[float, dict[int, float]]:
         raise UsageError("accuracy needs at least one prediction")
     if g.min() < 0:
         raise UsageError(f"gold label {g.min()} is negative, not a class index")
-    overall = float(np.mean(p == g))
     counts = np.bincount(g)
-    hits = np.bincount(g, weights=p == g)
+    hits = np.bincount(g[p == g], minlength=counts.size)
+    overall = float(hits.sum() / p.size)
     return overall, {int(c): float(hits[c] / counts[c]) for c in np.flatnonzero(counts)}
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericOverflowError, UsageError
-from .numerics import _finite_settings, _lse, as_matrix
+from .numerics import _as_2d, _finite_settings, _lse, _softmax_columns, as_matrix
 
 __all__ = [
     "ALGORITHMS",
@@ -156,7 +156,7 @@ class PseudoLabels:
 
 
 def _check_inputs(m, q: ClassMarginal) -> tuple[np.ndarray, np.ndarray]:
-    mat = as_matrix(m, "similarity matrix")
+    mat = _as_2d(m, "similarity matrix")  # only shapes: _scaled checks the values
     if mat.shape[0] == 0 or mat.shape[1] == 0:
         raise UsageError(f"similarity matrix must be nonempty, got shape {mat.shape}")
     if len(q) != mat.shape[1]:
@@ -192,6 +192,7 @@ def _scaled(mat: np.ndarray, tau: float) -> np.ndarray:
     with np.errstate(over="ignore"):
         scaled = mat / tau
     if not np.all(np.isfinite(scaled)):
+        as_matrix(mat, "similarity matrix")  # names a non-finite entry of m first
         i, j = np.argwhere(~np.isfinite(scaled))[0]
         raise NumericOverflowError(
             f"m/tau overflows at entry ({i}, {j}) (m={mat[i, j]:.6g}, tau={tau:.6g}); "
@@ -338,17 +339,6 @@ def stable_greenkhorn(m, cfg: SolverConfig, q: ClassMarginal) -> TransportPlan:
     return _finish(log_p, iterations, *_violations(p, row_target, qv), tol)
 
 
-def _softmax_columns(s: np.ndarray, g: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Fill ``a`` with the column softmax of s + g (K x N); return each column's log-sum-exp."""
-    np.add(s, g[:, None], out=a)
-    top = a.max(axis=0)
-    a -= top
-    np.exp(a, out=a)
-    total = a.sum(axis=0)
-    a /= total
-    return top + np.log(total)
-
-
 def newton_semidual(m, cfg: SolverConfig, q: ClassMarginal) -> TransportPlan:
     """Newton's method on the semi-dual over the K column potentials, one step per iteration.
 
@@ -380,24 +370,19 @@ def newton_semidual(m, cfg: SolverConfig, q: ClassMarginal) -> TransportPlan:
     a = np.empty_like(s)
     log_pt = np.full((k, n), -np.inf)
     log_p = log_pt.T  # the N x K plan is a view of the class-major buffer
-    rows = log_pt if qp.size == k else np.empty_like(s)  # the plan's positive-mass rows
     ln_n = math.log(n)
-    ones = np.full((qp.size, qp.size), 1.0 / qp.size)
     g = np.zeros(qp.size)
-    lse = _softmax_columns(s, g, a)
     iterations = 0
     while True:
-        np.add(s, g[:, None], out=rows)  # rounds as in the softmax, so rows hold 1/N
-        rows -= lse
-        rows -= ln_n
-        if rows is not log_pt:
-            log_pt[positive] = rows
+        np.add(s, g[:, None], out=a)
+        lse = _softmax_columns(a, a.max(axis=0))
+        log_pt[positive] = s + g[:, None] - lse - ln_n  # rounds as a does, so rows hold 1/N
         rv, cv = _violations(np.exp(log_p), 1.0 / n, qv)
         if (rv <= cfg.tolerance and cv <= cfg.tolerance) or iterations == cfg.max_iterations:
             break
         mass = a.sum(axis=1) / n
         grad = mass - qp
-        h = (a @ a.T) / -n + ones
+        h = (a @ a.T) / -n + 1.0 / qp.size
         h.flat[:: qp.size + 1] += mass + _DAMPING * np.abs(grad).max() + _MIN_DAMPING
         d = np.linalg.solve(h, -grad)
         d -= d.mean()
@@ -409,7 +394,6 @@ def newton_semidual(m, cfg: SolverConfig, q: ClassMarginal) -> TransportPlan:
             iterations = cfg.max_iterations
             break
         g += step * d
-        lse = _softmax_columns(s, g, a)
         iterations += 1
     return _finish(log_p, iterations, rv, cv, cfg.tolerance)
 

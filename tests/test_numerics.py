@@ -10,6 +10,7 @@ from conftest import softmax_rows
 from proxyot.errors import DataError
 from proxyot.numerics import (
     _lse,
+    _softmax_columns,
     as_matrix,
     l2_normalize_rows,
 )
@@ -89,6 +90,50 @@ class TestLseMatchesReference:
         nan = np.isnan(want)
         assert np.array_equal(np.isnan(got), nan)
         assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+@st.composite
+def wide_columns(draw):
+    """K x N logits whose every column spans more than 700, past a plain exp's range."""
+    k, n = draw(st.integers(2, 6)), draw(st.integers(1, 8))
+    z = draw(arrays(np.float64, (k, n), elements=st.floats(-1000, 1000)))
+    z[0] = draw(arrays(np.float64, n, elements=st.floats(710, 1000)))
+    z[1] = draw(arrays(np.float64, n, elements=st.floats(-1000, -1)))
+    rows = draw(st.permutations(range(k)))
+    return z[rows]
+
+
+def softmax_columns_newton(s):
+    """The column softmax as ``newton_semidual`` took it before the learner shared it, frozen."""
+    a = s.copy()
+    top = a.max(axis=0)
+    a -= top
+    np.exp(a, out=a)
+    total = a.sum(axis=0)
+    a /= total
+    return a, top + np.log(total)
+
+
+class TestSoftmaxColumns:
+    @settings(max_examples=200, deadline=None)
+    @given(wide_columns(), st.sampled_from([1.0, 0.01, 1e-3]))
+    def test_columns_sum_to_one_and_lse_matches(self, z, tau):
+        q = z.copy()
+        lse = _softmax_columns(q, z.max(axis=0), tau)
+        assert np.all(np.isfinite(q)) and np.all(q >= 0)
+        np.testing.assert_allclose(q.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+        # z / tau and (z - top) / tau round apart by an ulp of the largest |z / tau|
+        ulp = np.abs(z / tau).max() * np.finfo(np.float64).eps
+        np.testing.assert_allclose(lse, _lse(z / tau, axis=0), rtol=0, atol=4 * ulp)
+
+    @settings(max_examples=200, deadline=None)
+    @given(wide_columns())
+    def test_bit_equal_to_the_newton_softmax_at_unit_tau(self, z):
+        q = z.copy()
+        lse = _softmax_columns(q, z.max(axis=0))
+        want_q, want_lse = softmax_columns_newton(z)
+        assert q.tobytes() == want_q.tobytes()
+        assert lse.tobytes() == want_lse.tobytes()
 
 
 class TestSoftmaxRows:

@@ -87,6 +87,31 @@ class TestAccuracy:
         assert per_class == want
         assert list(per_class) == list(want)
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_bit_equal_to_the_float_weighted_count(self, data):
+        # the counting of float64 weights that integer hit counts replaced,
+        # frozen; gold skips some class indices below its largest, and one
+        # class present in gold is never predicted right
+        k = data.draw(st.integers(2, 8))
+        present = data.draw(
+            st.lists(st.integers(0, k - 1), min_size=1, max_size=k - 1, unique=True)
+        )
+        n = data.draw(st.integers(1, 200))
+        gold = np.array(data.draw(st.lists(st.sampled_from(present), min_size=n, max_size=n)))
+        pred = np.array(data.draw(st.lists(st.integers(0, k), min_size=n, max_size=n)))
+        missed = gold[data.draw(st.integers(0, n - 1))]
+        pred[(gold == missed) & (pred == missed)] = missed + 1
+        counts = np.bincount(gold)
+        hits = np.bincount(gold, weights=pred == gold)
+        want = float(np.mean(pred == gold)), {
+            int(c): float(hits[c] / counts[c]) for c in np.flatnonzero(counts)
+        }
+        got = accuracy(pred, gold)
+        assert got[1][int(missed)] == 0.0
+        assert got == want  # float ==, which no two distinct finite nonzero bit patterns pass
+        assert list(got[1]) == list(want[1])
+
     def test_labeled_eval_imports_no_numpy_submodule(self, small_fixture, tmp_path):
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
         # numpy may load some submodules lazily (numpy.ma on first np.unique);
