@@ -98,7 +98,7 @@ class LearnTrace:
 
 def _validated(w: np.ndarray, images, labels: PseudoLabels) -> np.ndarray:
     """Check the shapes of one objective evaluation; return the image matrix."""
-    x = as_matrix(images, "image embeddings")
+    x = _as_2d(images, "image embeddings")  # the objective finds a non-finite entry
     (n, d), (k, dw) = x.shape, w.shape
     if n == 0:
         raise UsageError("image embeddings has no rows: the loss is a mean over images")
@@ -121,23 +121,25 @@ def _objective(x: np.ndarray, p: np.ndarray, tau: float):
     n, k = p.shape
     p_log_p = float(np.vdot(p, np.log(p, out=np.zeros_like(p), where=p > 0)))
     r = p.sum(axis=1)
-    ptx = p.T @ x
+    with np.errstate(invalid="ignore"):  # inf * 0: the first evaluation names the entry
+        ptx = p.T @ x
     buffer = np.empty((k, n))
 
     def evaluate(w: np.ndarray) -> tuple[float, np.ndarray]:
-        z = np.matmul(w, x.T, out=buffer)
-        top = z.max(axis=0)  # per image
-        # only the largest magnitude can overflow, and Python float division
-        # overflows to inf without a warning; a denormal tau breaks it
-        largest = max(float(top.max(initial=0.0)), -float(z.min(initial=0.0)))
-        if not np.isfinite(largest / tau):
-            raise NumericError(
-                f"x @ w.T / tau_learn overflows (largest |x @ w.T| = {largest:.6g}, "
-                f"tau_learn={tau:.6g}); rerun with a larger --tau-learn"
-            )
         # just inside tau's range a shifted logit, the loss or the gradient can
         # still overflow; the caller rejects a loss or step that is not finite
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            z = np.matmul(w, x.T, out=buffer)
+            top = z.max(axis=0)  # per image
+            # only the largest magnitude can overflow, and Python float division
+            # overflows to inf without a warning; a denormal tau breaks it
+            largest = max(float(top.max(initial=0.0)), -float(z.min(initial=0.0)))
+            if not np.isfinite(largest / tau):
+                as_matrix(x, "image embeddings")  # so does a non-finite x: name its entry
+                raise NumericError(
+                    f"x @ w.T / tau_learn overflows (largest |x @ w.T| = {largest:.6g}, "
+                    f"tau_learn={tau:.6g}); rerun with a larger --tau-learn"
+                )
             lse = _softmax_columns(z, top, tau)
             value = (p_log_p - np.vdot(ptx, w) / tau + r @ lse) / n
             return float(value), (z @ x - ptx) / (n * tau)

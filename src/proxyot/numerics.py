@@ -1,12 +1,12 @@
 """Float64 input checks and the shared kernels: log-sum-exp, column softmax, row norms.
 
 ``as_matrix`` turns input into a 2-D float64 array with finite entries. Row
-normalization, the mean image feature and ``classify`` find a non-finite entry
-through a value they compute anyway and call it only to name that entry. The
-solvers and retrieval build on these helpers. ``_softmax_columns`` is the only
-softmax over K x N scores: ``newton_semidual`` and the learner's objective call
-it. Every exponential here goes through a max-shift, so log-domain values may
-be -inf but never +inf or NaN.
+normalization, the mean image feature, ``classify`` and ``learn`` find a
+non-finite entry through a value they compute anyway and call it only to name
+that entry. The solvers and retrieval build on these helpers.
+``_softmax_columns`` is the only softmax over K x N scores: ``newton_semidual``
+and the learner's objective call it. Every exponential here goes through a
+max-shift, so log-domain values may be -inf but never +inf or NaN.
 """
 
 from __future__ import annotations

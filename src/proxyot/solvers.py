@@ -202,7 +202,7 @@ def _scaled(mat: np.ndarray, tau: float) -> np.ndarray:
 
 
 def _log_start(mat: np.ndarray, qv: np.ndarray, tau: float):
-    """The log-domain start log P = m/tau, ln q and the positive-mass column mask."""
+    """Every log-domain solver's start: log P = m/tau, ln q and the positive-mass column mask."""
     log_p = _scaled(mat, tau)
     positive = qv > 0
     with np.errstate(divide="ignore"):
@@ -349,47 +349,49 @@ def newton_semidual(m, cfg: SolverConfig, q: ClassMarginal) -> TransportPlan:
     whose Hessian H = (1/N)(diag(sum_i a_i) - A A^T) is only K x K. H is
     singular along the all-ones vector (a constant added to g cancels), and
     also where a class's mass underflows in every row; so each step solves
-    (H + 11^T/K + lam I) d = -grad with lam = _DAMPING * max|grad| plus a
-    floor that keeps the system regular in float64. lam fades as the masses
-    converge, so the last steps are Newton steps. The step centers d and
-    backtracks on F until it meets an Armijo decrease; F's change along d
-    comes from the softmax the step started at, so it keeps its digits when
-    the change is tiny.
+    (H + 11^T/K' + lam I) d = -grad, where 1 marks the K' classes with mass,
+    with lam = _DAMPING * max|grad| plus a floor that keeps the system
+    regular in float64. lam fades as the masses converge, so the last steps
+    are Newton steps. The step centers d and backtracks on F until it meets
+    an Armijo decrease; F's change along d comes from the softmax the step
+    started at, so it keeps its digits when the change is tiny.
 
-    Columns with zero target mass stay out of the system and get log_p = -inf.
-    The stop test runs on the start and after each step. A step whose
-    decrease is within the rounding of s + g, or that no halving makes
-    decrease F, leaves g unchanged, as would every later one; the solve ends
-    there and reports what running out its cap would.
+    Columns with zero target mass start at -inf (``_log_start``); their rows
+    of A, H and grad are zero but for the damping, so they take no step
+    before centering. The stop test runs on the start and after each step.
+    A step whose decrease is within the rounding of s + g, or that no
+    halving makes decrease F, leaves g unchanged, as would every later one;
+    the solve ends there and reports what running out its cap would.
     """
     mat, qv = _check_inputs(m, q)
     n, k = mat.shape
-    positive = qv > 0
-    qp = qv[positive]
-    s = np.ascontiguousarray(_scaled(mat, cfg.tau_ot).T[positive])  # K x N, class mass only
+    log_p, _, positive = _log_start(mat, qv, cfg.tau_ot)
+    s = np.ascontiguousarray(log_p.T)  # K x N; a zero-mass class is a -inf row
     a = np.empty_like(s)
-    log_pt = np.full((k, n), -np.inf)
+    log_pt = np.empty_like(s)
     log_p = log_pt.T  # the N x K plan is a view of the class-major buffer
     ln_n = math.log(n)
-    g = np.zeros(qp.size)
+    g = np.zeros(k)
     iterations = 0
     while True:
-        np.add(s, g[:, None], out=a)
+        np.add(s, g[:, None], out=log_pt)
+        np.copyto(a, log_pt)
         lse = _softmax_columns(a, a.max(axis=0))
-        log_pt[positive] = s + g[:, None] - lse - ln_n  # rounds as a does, so rows hold 1/N
+        log_pt -= lse
+        log_pt -= ln_n  # rounds as a does, so rows hold 1/N
         rv, cv = _violations(np.exp(log_p), 1.0 / n, qv)
         if (rv <= cfg.tolerance and cv <= cfg.tolerance) or iterations == cfg.max_iterations:
             break
         mass = a.sum(axis=1) / n
-        grad = mass - qp
-        h = (a @ a.T) / -n + 1.0 / qp.size
-        h.flat[:: qp.size + 1] += mass + _DAMPING * np.abs(grad).max() + _MIN_DAMPING
+        grad = mass - qv
+        h = (a @ a.T) / -n + np.outer(positive, positive) / np.count_nonzero(positive)
+        h.flat[:: k + 1] += mass + _DAMPING * np.abs(grad).max() + _MIN_DAMPING
         d = np.linalg.solve(h, -grad)
         d -= d.mean()
         slope = float(grad @ d)
         # an error of one rounding in s + g moves F by about this much along d
         noise = _EPS * (1.0 + np.abs(lse).max()) * np.abs(d).sum()
-        step = _armijo_step(a, qp, d, slope) if slope < -noise else None
+        step = _armijo_step(a, qv, d, slope) if slope < -noise else None
         if step is None:
             iterations = cfg.max_iterations
             break
@@ -398,7 +400,7 @@ def newton_semidual(m, cfg: SolverConfig, q: ClassMarginal) -> TransportPlan:
     return _finish(log_p, iterations, rv, cv, cfg.tolerance)
 
 
-def _armijo_step(a: np.ndarray, qp: np.ndarray, d: np.ndarray, slope: float) -> float | None:
+def _armijo_step(a: np.ndarray, q: np.ndarray, d: np.ndarray, slope: float) -> float | None:
     """The first of 1, 1/2, 1/4, ... that lowers F by Armijo's fraction of ``slope``.
 
     F(g + t d) - F(g) = mean_i log(sum_j a_ij e^(t d_j)) - t q^T d, from the
@@ -407,7 +409,7 @@ def _armijo_step(a: np.ndarray, qp: np.ndarray, d: np.ndarray, slope: float) -> 
     t = 1.0
     for _ in range(_HALVINGS):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            change = np.log1p(np.expm1(t * d) @ a).mean() - t * (qp @ d)
+            change = np.log1p(np.expm1(t * d) @ a).mean() - t * (q @ d)
         if -math.inf < change < _ARMIJO * t * slope:
             return t
         t *= 0.5

@@ -94,6 +94,10 @@ LIBRARY_RAISES = {
         lambda: learn(IMAGES[:, :3], LABELS, PROXIES, LearnConfig(max_epochs=1)),
         UsageError, "images have dim 3 but proxies have dim 4",
     ),
+    "learn from non-finite images of another dim": (  # shapes are checked first
+        lambda: learn(np.full((5, 3), math.nan), LABELS, PROXIES, LearnConfig(max_epochs=1)),
+        UsageError, "images have dim 3 but proxies have dim 4",
+    ),
     "learn from labels of another shape": (
         lambda: learn(IMAGES, PseudoLabels(np.full((5, 2), 0.5)), PROXIES, LearnConfig()),
         UsageError, "labels shape (5, 2) does not match 5 images x 3 classes",

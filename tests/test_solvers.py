@@ -9,8 +9,13 @@ from hypothesis import strategies as st
 from conftest import reference_plan
 
 from proxyot.errors import DataError, NumericOverflowError, ProxyOTError, UsageError
-from proxyot.numerics import _lse
+from proxyot.numerics import _lse, _softmax_columns
 from proxyot.solvers import (
+    _ARMIJO,
+    _DAMPING,
+    _EPS,
+    _HALVINGS,
+    _MIN_DAMPING,
     _REFRESH_EVERY,
     _check_inputs,
     _finish,
@@ -471,6 +476,55 @@ def sinkhorn_log_reference(m, cfg, q):
     return TransportPlan(log_p, iterations, rv, cv, rv <= cfg.tolerance and cv <= cfg.tolerance)
 
 
+def newton_reference(m, cfg, q):
+    """Reference Newton loop over the classes with mass only: s, g, the
+    K' x K' system and the line search take the compressed class index, and
+    each step scatters the plan's rows for those classes into a -inf buffer.
+
+    Kept frozen for :func:`newton_semidual`, which keeps all K classes and
+    must give the same plan bit for bit when every class has mass.
+    """
+    mat, qv = _check_inputs(m, q)
+    n, k = mat.shape
+    positive = qv > 0
+    qp = qv[positive]
+    s = np.ascontiguousarray((mat / cfg.tau_ot).T[positive])
+    a = np.empty_like(s)
+    log_pt = np.full((k, n), -np.inf)
+    ln_n = math.log(n)
+    g = np.zeros(qp.size)
+    iterations = 0
+    while True:
+        np.add(s, g[:, None], out=a)
+        lse = _softmax_columns(a, a.max(axis=0))
+        log_pt[positive] = s + g[:, None] - lse - ln_n
+        rv, cv = _violations(np.exp(log_pt.T), 1.0 / n, qv)
+        if (rv <= cfg.tolerance and cv <= cfg.tolerance) or iterations == cfg.max_iterations:
+            break
+        mass = a.sum(axis=1) / n
+        grad = mass - qp
+        h = (a @ a.T) / -n + 1.0 / qp.size
+        h.flat[:: qp.size + 1] += mass + _DAMPING * np.abs(grad).max() + _MIN_DAMPING
+        d = np.linalg.solve(h, -grad)
+        d -= d.mean()
+        slope = float(grad @ d)
+        noise = _EPS * (1.0 + np.abs(lse).max()) * np.abs(d).sum()
+        step, t = None, 1.0
+        for _ in range(_HALVINGS if slope < -noise else 0):
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                change = np.log1p(np.expm1(t * d) @ a).mean() - t * (qp @ d)
+            if -math.inf < change < _ARMIJO * t * slope:
+                step = t
+                break
+            t *= 0.5
+        if step is None:
+            iterations = cfg.max_iterations
+            break
+        g += step * d
+        iterations += 1
+    return TransportPlan(log_pt.T, iterations, rv, cv, rv <= cfg.tolerance and cv <= cfg.tolerance)
+
+
 @st.composite
 def well_scaled_instances(draw, zero_mass):
     """Small well-scaled instances; ``zero_mass`` gives at least one empty class."""
@@ -693,6 +747,34 @@ class TestNewtonSemidual:
         assert not np.any(np.isnan(plan.log_p)) and not np.any(plan.log_p == np.inf)
         assert plan.converged == (rv <= tolerance and cv <= tolerance)
         assert (rv, cv) == _violations(np.exp(plan.log_p), 1 / n, q.q)
+
+
+class TestNewtonMatchesReference:
+    """All K classes, with the 11^T/K' term over the classes with mass only,
+    repeat the loop over the compressed class index."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(newton_instances(), st.sampled_from([1e-6, 1e-11, 0.0]))
+    def test_matches_the_compressed_loop(self, instance, tolerance):
+        m, tau, q = instance
+        cfg = SolverConfig(tau_ot=tau, tolerance=tolerance)
+        got, want = newton_semidual(m, cfg, q), newton_reference(m, cfg, q)
+        if np.all(q.q > 0):
+            assert np.array_equal(got.log_p, want.log_p)
+            assert got.iterations_used == want.iterations_used
+            assert got.final_row_violation == want.final_row_violation
+            assert got.final_col_violation == want.final_col_violation
+            assert got.converged == want.converged
+            return
+        # the centered step and the system's size move the last bits here
+        assert np.array_equal(np.isneginf(got.log_p), np.isneginf(want.log_p))
+        np.testing.assert_allclose(
+            pseudo_labels(got).p, pseudo_labels(want).p, rtol=0, atol=1e-12
+        )
+        # at tolerance 0 a last-ulp violation can decide the verdict either way
+        if tolerance > 0:
+            assert got.iterations_used == want.iterations_used
+            assert got.converged == want.converged
 
 
 def oracle_violations(plan, row_target, q):
