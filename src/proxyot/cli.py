@@ -18,8 +18,8 @@ from . import io as pio
 from .errors import DataError, ProxyOTError, UsageError
 from .fixture import NAME_NOISE_FACTOR, FixtureSpec, generate_fixture, write_fixture
 from .learner import LearnConfig
-from .pipeline import MODES, RunSpec, bench_solvers, learn_stage, learn_summary, load, run
-from .pipeline import solver_diagnostics, text_stage, transport_stage
+from .pipeline import MODES, RunSpec, bench_solvers, learn_stage, load, run, text_stage
+from .pipeline import transport_stage
 from .solvers import ALGORITHMS, SolverConfig
 
 __all__ = ["main"]
@@ -176,8 +176,7 @@ def _cmd_retrieve(args) -> int:
 def _cmd_plan(args) -> int:
     spec, inputs = _load(args)
     _, proxies = text_stage(inputs, spec.k)
-    plan, guide = transport_stage(inputs, proxies, spec.solver)
-    diag = solver_diagnostics(plan, spec.solver)
+    diag, guide = transport_stage(inputs, proxies, spec.solver)
     _warn_at_caps(spec.solver.tolerance, diag, None)
     doc = {
         "algorithm": diag.pop("algorithm"),
@@ -188,22 +187,20 @@ def _cmd_plan(args) -> int:
     }
     pio.write_report(doc, args.out)
     print(
-        f"{spec.solver.algorithm}: {plan.iterations_used} iterations, violations "
-        f"({plan.final_row_violation:.3e}, {plan.final_col_violation:.3e}) -> {args.out}"
+        f"{doc['algorithm']}: {doc['iterations_used']} iterations, violations "
+        f"({doc['final_row_violation']:.3e}, {doc['final_col_violation']:.3e}) -> {args.out}"
     )
     return 0
 
 
 def _cmd_learn(args) -> int:
     spec, inputs = _load(args)
-    plan, weights, trace = learn_stage(inputs, spec)
-    _warn_at_caps(
-        spec.solver.tolerance, solver_diagnostics(plan, spec.solver), learn_summary(trace)
-    )
+    weights, diag, learned = learn_stage(inputs, spec)
+    _warn_at_caps(spec.solver.tolerance, diag, learned)
     pio.write_embeddings(weights.w, args.out)
     print(
-        f"learned {weights.w.shape[0]} proxies in {trace.epochs_run} epochs "
-        f"({trace.stop_reason}, final loss {trace.losses[-1]:.6g}) -> {args.out}"
+        f"learned {weights.w.shape[0]} proxies in {learned['epochs_run']} epochs "
+        f"({learned['stop_reason']}, final loss {learned['final_loss']:.6g}) -> {args.out}"
     )
     return 0
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import io as pio
 from .errors import DataError, NumericError, UsageError
-from .learner import LearnConfig, LearnTrace, ProxyWeights, classify, learn
+from .learner import LearnConfig, ProxyWeights, classify, learn
 from .numerics import l2_normalize_rows
 from .retrieval import (
     KnowledgeBase,
@@ -36,7 +36,6 @@ from .solvers import (
     ClassMarginal,
     PseudoLabels,
     SolverConfig,
-    TransportPlan,
     entropic_objective,
     pseudo_labels,
     solve,
@@ -44,7 +43,7 @@ from .solvers import (
 
 __all__ = [
     "MODES", "RunSpec", "RunReport", "Inputs", "load", "text_stage", "transport_stage",
-    "learn_stage", "solver_diagnostics", "learn_summary", "run", "accuracy", "bench_solvers",
+    "learn_stage", "run", "accuracy", "bench_solvers",
 ]
 
 MODES = ("clip_baseline", "description_baseline", "kpl_text", "kpl_full")
@@ -193,36 +192,32 @@ def text_stage(inputs: Inputs, k: int) -> tuple[RetrievalResult, ProxyWeights]:
 
 def transport_stage(
     inputs: Inputs, proxies: ProxyWeights, cfg: SolverConfig
-) -> tuple[TransportPlan, PseudoLabels]:
-    """Solve transport over the image/proxy similarities and read pseudo-labels off it."""
+) -> tuple[dict, PseudoLabels]:
+    """Solve transport over the image/proxy similarities and read pseudo-labels off it.
+
+    Returns the report's ``solver_diagnostics`` section, in its fixed key
+    order, with the pseudo-labels; the plan itself is not kept.
+    """
     plan = solve(inputs.images @ proxies.w.T, cfg, inputs.marginal)
-    return plan, pseudo_labels(plan)
-
-
-def learn_stage(
-    inputs: Inputs, spec: RunSpec
-) -> tuple[TransportPlan, ProxyWeights, LearnTrace]:
-    """Multimodal Proxy Learning: the whole ``kpl_full`` chain up to learned proxies."""
-    _, proxies = text_stage(inputs, spec.k)
-    plan, guide = transport_stage(inputs, proxies, spec.solver)
-    weights, trace = learn(inputs.images, guide, proxies, spec.learn)
-    return plan, weights, trace
-
-
-def solver_diagnostics(plan: TransportPlan, cfg: SolverConfig) -> dict:
-    """How the solve went, in the report's fixed key order."""
     return {
         "algorithm": cfg.algorithm,
         "iterations_used": plan.iterations_used,
         "final_row_violation": plan.final_row_violation,
         "final_col_violation": plan.final_col_violation,
         "converged": plan.converged,
-    }
+    }, pseudo_labels(plan)
 
 
-def learn_summary(trace: LearnTrace) -> dict:
-    """How learning went, in the report's fixed key order."""
-    return {
+def learn_stage(inputs: Inputs, spec: RunSpec) -> tuple[ProxyWeights, dict, dict]:
+    """Multimodal Proxy Learning: the whole ``kpl_full`` chain up to learned proxies.
+
+    Returns the learned proxies with the report's ``solver_diagnostics`` and
+    ``learn_summary`` sections, each in its fixed key order.
+    """
+    _, proxies = text_stage(inputs, spec.k)
+    diagnostics, guide = transport_stage(inputs, proxies, spec.solver)
+    weights, trace = learn(inputs.images, guide, proxies, spec.learn)
+    return weights, diagnostics, {
         "epochs_run": trace.epochs_run,
         "stop_reason": trace.stop_reason,
         "initial_loss": trace.losses[0],
@@ -239,8 +234,7 @@ def run(spec: RunSpec, inputs: Inputs | None = None) -> RunReport:
     if inputs is None:
         inputs = load(spec)
     kb = inputs.kb
-    solver_diag = None
-    learned = None
+    solver_diag = learned = None
     if spec.mode == "clip_baseline":
         weights = name_proxies(kb.name_embedding_matrix())
     elif spec.mode == "description_baseline":
@@ -248,9 +242,7 @@ def run(spec: RunSpec, inputs: Inputs | None = None) -> RunReport:
     elif spec.mode == "kpl_text":
         _, weights = text_stage(inputs, spec.k)
     else:  # kpl_full
-        plan, weights, trace = learn_stage(inputs, spec)
-        solver_diag = solver_diagnostics(plan, spec.solver)
-        learned = learn_summary(trace)
+        weights, solver_diag, learned = learn_stage(inputs, spec)
 
     predictions = classify(inputs.images, weights)
     report = RunReport(

@@ -760,6 +760,34 @@ class TestStageCommands:
         assert w.shape == (3, 8)
         np.testing.assert_allclose(np.linalg.norm(w, axis=1), 1.0, atol=1e-9)
 
+    def test_plan_prints_the_diagnostics_it_writes(self, fixture_dir, tmp_path, capsys):
+        out = tmp_path / "plan.json"
+        code = main(
+            ["plan", "--images", str(fixture_dir / "images.emb"),
+             "--kb", str(fixture_dir / "kb.json"), "--out", str(out)]
+        )
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert capsys.readouterr().out == (
+            f"{doc['algorithm']}: {doc['iterations_used']} iterations, violations "
+            f"({doc['final_row_violation']:.3e}, {doc['final_col_violation']:.3e}) -> {out}\n"
+        )
+
+    def test_learn_prints_the_report_learn_summary(self, fixture_dir, tmp_path, capsys):
+        inputs = ["--images", str(fixture_dir / "images.emb"), "--kb", str(fixture_dir / "kb.json")]
+        labels = ["--labels", str(fixture_dir / "labels.txt")]
+        report = tmp_path / "report.json"
+        assert main(["eval", "--mode", "kpl_full", *inputs, *labels, "--out", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        summary = doc["learn_summary"]
+        capsys.readouterr()
+        out = tmp_path / "proxies.emb"
+        assert main(["learn", *inputs, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            f"learned {len(doc['class_names'])} proxies in {summary['epochs_run']} epochs "
+            f"({summary['stop_reason']}, final loss {summary['final_loss']:.6g}) -> {out}\n"
+        )
+
     def test_bench_ot_writes_table(self, cli_fixture, tmp_path, capsys):
         out = tmp_path / "bench.json"
         code = main(

@@ -322,7 +322,9 @@ label_names = st.lists(
 label_tokens = st.sampled_from(
     ["0", "1", "2", "9", "10", "11", "12", "007", "00", "0" * 5000 + "1", "9" * 5000,
      "7", "01", "\u0663", "\u00b2", "+1", "1_0", "a", "b c", " a ", "x\ty", "", "  ", "\t"]
-) | st.text(st.characters(exclude_characters=SPLITLINES_ONLY), max_size=3)
+) | st.text(  # a label file is UTF-8, so its tokens hold no lone surrogate
+    st.characters(codec="utf-8", exclude_characters=SPLITLINES_ONLY), max_size=3
+)
 
 
 @BOUNDED

@@ -18,8 +18,10 @@ Compared are stdout, stderr, the exit code and every file an invocation
 writes, byte for byte. Before comparing, the invocation's own output
 directory is replaced by ``<OUT>``, and so are bench-ot's timings: the
 ``wall_time_s`` values and the ms column. Each difference is printed; the
-exit status is 0 only when there is none. This is not part of the test
-suite; the whole matrix takes under a minute a side on two cores.
+exit status is 0 only when there is none. The work directory, fixtures and
+outputs included, is removed at the end unless ``--work`` names it. The
+test suite checks the tool but does not run its matrix, which takes under a
+minute a side on two cores.
 """
 
 from __future__ import annotations
@@ -122,10 +124,21 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src", type=Path)
     parser.add_argument("new_src", type=Path)
-    parser.add_argument("--work", type=Path, help="scratch directory (default: a new temporary one)")
+    parser.add_argument("--work", type=Path,
+                        help="scratch directory to keep (default: a temporary one, removed after)")
     ns = parser.parse_args(argv)
     old_src, new_src = ns.old_src.resolve(), ns.new_src.resolve()
-    work = (ns.work or Path(tempfile.mkdtemp(prefix="compare_outputs_"))).resolve()
+    if ns.work is None:
+        with tempfile.TemporaryDirectory(prefix="compare_outputs_") as work:
+            return compare(old_src, new_src, Path(work).resolve())
+    work = ns.work.resolve()
+    status = compare(old_src, new_src, work)
+    print(f"work dir kept: {work}")
+    return status
+
+
+def compare(old_src: Path, new_src: Path, work: Path) -> int:
+    """Run the matrix under ``work`` and print each difference; the exit status."""
     fixtures = work / "fixtures"
     fixtures.mkdir(parents=True)
     (fixtures / "zero_mass.json").write_text(ZERO_MASS + "\n")
@@ -145,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{label}: {', '.join(names)} differ")
             for name in names:
                 print(describe(name, old.get(name), new.get(name)))
-    print(f"{len(runs)} invocations a side, {differing} with differences (work dir {work})")
+    print(f"{len(runs)} invocations a side, {differing} with differences")
     return 1 if differing else 0
 
 
