@@ -34,18 +34,18 @@ for mode in ("clip_baseline", "description_baseline", "kpl_text", "kpl_full"):
             labels=out / "labels.txt",
         )
     )
-    results[mode] = report.accuracy
+    results[mode] = report["accuracy"]
     notes = ""
-    if report.solver_diagnostics is not None:
-        d = report.solver_diagnostics
+    if report["solver_diagnostics"] is not None:
+        d = report["solver_diagnostics"]
         notes = (
             f"transport {d['iterations_used']} iters "
             f"(viol {d['final_row_violation']:.1e}/{d['final_col_violation']:.1e}), "
         )
-    if report.learn_summary is not None:
-        s = report.learn_summary
+    if report["learn_summary"] is not None:
+        s = report["learn_summary"]
         notes += f"learned {s['epochs_run']} epochs, loss {s['initial_loss']:.4f} -> {s['final_loss']:.6f}"
-    print(f"{mode:22s} {report.accuracy:9.4f}  {notes}")
+    print(f"{mode:22s} {report['accuracy']:9.4f}  {notes}")
 
 gain = results["kpl_full"] - results["clip_baseline"]
 print(f"\nfull chain beats the name-proxy baseline by {gain:+.4f}")

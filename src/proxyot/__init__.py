@@ -24,7 +24,7 @@ from .learner import (
     learn,
 )
 from .numerics import l2_normalize_rows
-from .pipeline import MODES, RunReport, RunSpec, accuracy, bench_solvers, run
+from .pipeline import MODES, RunSpec, accuracy, bench_solvers, run
 from .retrieval import (
     ClassRecord,
     KnowledgeBase,
@@ -89,7 +89,6 @@ __all__ = [
     "classify",
     "MODES",
     "RunSpec",
-    "RunReport",
     "run",
     "accuracy",
     "bench_solvers",

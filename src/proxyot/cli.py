@@ -50,7 +50,7 @@ def _run_spec(args) -> RunSpec:
 
 
 def _predictions_csv_path(out: Path) -> Path:
-    return out.with_suffix(".csv") if out.suffix else out.with_name(out.name + ".csv")
+    return out.with_suffix(".csv") if out.suffix else out.parent / (out.name + ".csv")
 
 
 def _warn_at_caps(tolerance: float, diag: dict | None, learned: dict | None) -> None:
@@ -86,7 +86,7 @@ def _run(args):
     """``run`` for the pipeline subcommands, warning on stderr about capped stages."""
     spec, inputs = _load(args)
     report = run(spec, inputs)
-    _warn_at_caps(spec.solver.tolerance, report.solver_diagnostics, report.learn_summary)
+    _warn_at_caps(spec.solver.tolerance, report["solver_diagnostics"], report["learn_summary"])
     return report
 
 
@@ -136,19 +136,19 @@ def _cmd_pipeline(args) -> int:
     out = Path(args.out)
     csv = _predictions_csv_path(out)
     report = _run(args)
-    pio.write_report(report.to_json_dict(), out)
-    pio.write_predictions_csv(csv, report.predictions, report.class_names)
-    if report.accuracy is not None:
-        print(f"{args.mode}: accuracy {report.accuracy:.4f} -> {out}")
+    pio.write_report(report, out)
+    pio.write_predictions_csv(csv, report["predictions"], report["class_names"])
+    if report["accuracy"] is not None:
+        print(f"{args.mode}: accuracy {report['accuracy']:.4f} -> {out}")
     else:
-        print(f"{args.mode}: {report.n_images} predictions -> {out}")
+        print(f"{args.mode}: {report['n_images']} predictions -> {out}")
     return 0
 
 
 def _cmd_classify(args) -> int:
     report = _run(args)
-    pio.write_predictions_csv(Path(args.out), report.predictions, report.class_names)
-    print(f"{args.mode}: {report.n_images} predictions -> {args.out}")
+    pio.write_predictions_csv(Path(args.out), report["predictions"], report["class_names"])
+    print(f"{args.mode}: {report['n_images']} predictions -> {args.out}")
     return 0
 
 
@@ -211,7 +211,7 @@ def _cmd_bench_ot(args) -> int:
     algorithms = [args.algorithm] if args.algorithm else ALGORITHMS
     configs = [replace(spec.solver, algorithm=name) for name in algorithms]
     rows = bench_solvers(inputs.images @ proxies.w.T, inputs.marginal, configs)
-    if args.out:
+    if args.out is not None:
         pio.write_report(rows, args.out)
     for row in rows:
         if row["status"] == "numeric_overflow":

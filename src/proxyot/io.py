@@ -419,6 +419,5 @@ def write_predictions_csv(path, predictions, class_names) -> None:
         for name in class_names
     ]
     lines = ["index,predicted_class_name"]
-    labels = np.asarray(predictions).tolist()  # Python ints in one numpy pass
-    lines += [f"{i},{fields[label]}" for i, label in enumerate(labels)]
+    lines += [f"{i},{fields[label]}" for i, label in enumerate(predictions)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -42,8 +42,8 @@ from .solvers import (
 )
 
 __all__ = [
-    "MODES", "RunSpec", "RunReport", "Inputs", "load", "text_stage", "transport_stage",
-    "learn_stage", "run", "accuracy", "bench_solvers",
+    "MODES", "RunSpec", "Inputs", "load", "text_stage", "transport_stage", "learn_stage",
+    "run", "accuracy", "bench_solvers",
 ]
 
 MODES = ("clip_baseline", "description_baseline", "kpl_text", "kpl_full")
@@ -68,34 +68,6 @@ class RunSpec:
             raise UsageError(f"unknown mode {self.mode!r}; choose from {', '.join(MODES)}")
         if self.k < 1:
             raise UsageError(f"k must be >= 1, got {self.k}")
-
-
-@dataclass
-class RunReport:
-    mode: str
-    config: dict
-    n_images: int
-    class_names: list[str]
-    predictions: np.ndarray
-    solver_diagnostics: dict | None = None
-    learn_summary: dict | None = None
-    accuracy: float | None = None
-    per_class_accuracy: dict[str, float] | None = None
-
-    def to_json_dict(self) -> dict:
-        """Fixed-key-order JSON form; identical reports serialize identically."""
-        return {
-            "mode": self.mode,
-            "config": self.config,
-            "n_images": self.n_images,
-            "n_classes": len(self.class_names),
-            "class_names": self.class_names,
-            "solver_diagnostics": self.solver_diagnostics,
-            "learn_summary": self.learn_summary,
-            "predictions": self.predictions.tolist(),
-            "accuracy": self.accuracy,
-            "per_class_accuracy": self.per_class_accuracy,
-        }
 
 
 def accuracy(pred, gold) -> tuple[float, dict[int, float]]:
@@ -225,11 +197,13 @@ def learn_stage(inputs: Inputs, spec: RunSpec) -> tuple[ProxyWeights, dict, dict
     }
 
 
-def run(spec: RunSpec, inputs: Inputs | None = None) -> RunReport:
+def run(spec: RunSpec, inputs: Inputs | None = None) -> dict:
     """Execute one mode end to end over the files named in ``spec``.
 
-    ``inputs`` is what ``load(spec)`` returned, for a caller that has loaded
-    them already; by default ``run`` loads them itself.
+    Returns the report document ``eval`` writes, in its fixed key order;
+    identical runs give equal documents. ``inputs`` is what ``load(spec)``
+    returned, for a caller that has loaded them already; by default ``run``
+    loads them itself.
     """
     if inputs is None:
         inputs = load(spec)
@@ -245,22 +219,23 @@ def run(spec: RunSpec, inputs: Inputs | None = None) -> RunReport:
         weights, solver_diag, learned = learn_stage(inputs, spec)
 
     predictions = classify(inputs.images, weights)
-    report = RunReport(
-        mode=spec.mode,
-        config=_resolved_config(spec),
-        n_images=inputs.images.shape[0],
-        class_names=kb.names,
-        predictions=predictions,
-        solver_diagnostics=solver_diag,
-        learn_summary=learned,
-    )
+    names = kb.names
+    overall = per_class = None
     if inputs.gold is not None:
-        overall, per_class = accuracy(predictions, inputs.gold)
-        report.accuracy = overall
-        report.per_class_accuracy = {
-            kb.names[c]: frac for c, frac in per_class.items()
-        }
-    return report
+        overall, by_index = accuracy(predictions, inputs.gold)
+        per_class = {names[c]: frac for c, frac in by_index.items()}
+    return {
+        "mode": spec.mode,
+        "config": _resolved_config(spec),
+        "n_images": inputs.images.shape[0],
+        "n_classes": len(names),
+        "class_names": names,
+        "solver_diagnostics": solver_diag,
+        "learn_summary": learned,
+        "predictions": predictions.tolist(),
+        "accuracy": overall,
+        "per_class_accuracy": per_class,
+    }
 
 
 def bench_solvers(m, q: ClassMarginal, configs) -> list[dict]:

@@ -200,7 +200,7 @@ def test_a6_synthetic_modality_gap_experiment(tmp_path):
                 RunSpec(mode=mode, images=fx / "images.emb", kb=fx / "kb.json",
                         labels=fx / "labels.txt")
             )
-            accs[mode] = report.accuracy
+            accs[mode] = report["accuracy"]
         elapsed = time.perf_counter() - start
         assert accs["kpl_full"] >= accs["kpl_text"] >= accs["clip_baseline"]
         assert accs["kpl_full"] - accs["clip_baseline"] >= 0.05

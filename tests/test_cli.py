@@ -206,6 +206,28 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("data error: ")
 
+    @pytest.mark.parametrize("out", [".", ""])
+    def test_out_with_an_empty_name_is_one_data_error_line(
+        self, cli_fixture, tmp_path, capsys, monkeypatch, out
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["eval", *_pipeline_args(cli_fixture, out)[1:]]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bench_ot_empty_out_is_data_error(self, cli_fixture, capsys):
+        code = main(
+            ["bench-ot", "--images", str(cli_fixture / "images.emb"),
+             "--kb", str(cli_fixture / "kb.json"),
+             "--tau-ot", "0.05", "--max-iterations", "20000", "--out", ""]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error: ")
+
     @pytest.mark.parametrize("command", ["pipeline", "eval"])
     def test_csv_report_path_is_usage_error(self, cli_fixture, tmp_path, capsys, command):
         out = tmp_path / "report.csv"

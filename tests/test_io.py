@@ -502,6 +502,14 @@ class TestReportWriting:
         pio.write_predictions_csv(path, np.array([1, 0]), ["healthy", "lesion"])
         assert path.read_text() == "index,predicted_class_name\n0,lesion\n1,healthy\n"
 
+    def test_predictions_csv_same_bytes_for_list_and_array(self, tmp_path):
+        labels = [2, 0, 1, 1, 0]
+        names = ["a", "b, c", "d"]
+        as_list, as_array = tmp_path / "list.csv", tmp_path / "array.csv"
+        pio.write_predictions_csv(as_list, labels, names)
+        pio.write_predictions_csv(as_array, np.array(labels, dtype=np.intp), names)
+        assert as_list.read_bytes() == as_array.read_bytes()
+
     def test_csv_quotes_awkward_names(self, tmp_path):
         path = tmp_path / "p.csv"
         pio.write_predictions_csv(path, np.array([0]), ['cloudy, "opaque" lens'])

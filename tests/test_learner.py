@@ -470,8 +470,8 @@ class TestLearnMatchesLogSoftmaxForm:
         _, proxies = text_stage(inputs, spec.k)
         _, guide = transport_stage(inputs, proxies, spec.solver)
         weights, trace = learn_log_softmax_reference(inputs.images, guide, proxies, spec.learn)
-        assert np.array_equal(classify(inputs.images, weights), report.predictions)
-        assert trace.epochs_run == report.learn_summary["epochs_run"]
+        assert np.array_equal(classify(inputs.images, weights), report["predictions"])
+        assert trace.epochs_run == report["learn_summary"]["epochs_run"]
 
 
 class TestNoImages:

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import inline_kb_doc
+from proxyot import io as pio
+from proxyot.cli import main
 from proxyot.errors import DataError, UsageError
 from proxyot.fixture import FixtureSpec, generate_fixture, write_fixture
 from proxyot.learner import LearnConfig
@@ -140,17 +142,17 @@ class TestRunModes:
     def test_all_modes_produce_reports(self, small_fixture):
         for mode in ("clip_baseline", "description_baseline", "kpl_text", "kpl_full"):
             report = run(_spec(small_fixture, mode))
-            assert report.mode == mode
-            assert report.predictions.shape == (40,)
-            assert 0.0 <= report.accuracy <= 1.0
-            assert set(report.per_class_accuracy) == set(report.class_names)
+            assert report["mode"] == mode
+            assert len(report["predictions"]) == 40
+            assert 0.0 <= report["accuracy"] <= 1.0
+            assert set(report["per_class_accuracy"]) == set(report["class_names"])
 
     def test_solver_and_learn_diagnostics_only_for_full_mode(self, small_fixture):
         text = run(_spec(small_fixture, "kpl_text"))
-        assert text.solver_diagnostics is None and text.learn_summary is None
+        assert text["solver_diagnostics"] is None and text["learn_summary"] is None
         full = run(_spec(small_fixture, "kpl_full"))
-        assert full.solver_diagnostics["algorithm"] == "newton_semidual"
-        assert full.learn_summary["epochs_run"] >= 1
+        assert full["solver_diagnostics"]["algorithm"] == "newton_semidual"
+        assert full["learn_summary"]["epochs_run"] >= 1
 
     def test_zero_learning_rate_degenerates_to_text_mode(self, small_fixture):
         text = run(_spec(small_fixture, "kpl_text"))
@@ -161,7 +163,7 @@ class TestRunModes:
                 learn=LearnConfig(learning_rate=0.0, momentum=0.0),
             )
         )
-        np.testing.assert_array_equal(frozen.predictions, text.predictions)
+        assert frozen["predictions"] == text["predictions"]
 
     def test_gold_labels_optional(self, small_fixture):
         spec = RunSpec(
@@ -171,15 +173,15 @@ class TestRunModes:
             solver=FAST_SOLVER,
         )
         report = run(spec)
-        assert report.accuracy is None
-        assert report.per_class_accuracy is None
-        assert report.predictions.shape == (40,)
+        assert report["accuracy"] is None
+        assert report["per_class_accuracy"] is None
+        assert len(report["predictions"]) == 40
 
     def test_marginal_file_is_honored(self, small_fixture, tmp_path):
         marg = tmp_path / "q.json"
         marg.write_text("[1, 1, 1]")
         report = run(_spec(small_fixture, "kpl_full", marginal=marg))
-        assert report.config["marginal"] == str(marg)
+        assert report["config"]["marginal"] == str(marg)
 
     def test_unknown_mode_rejected(self, small_fixture):
         with pytest.raises(UsageError):
@@ -187,7 +189,7 @@ class TestRunModes:
 
     def test_report_records_every_resolved_value(self, small_fixture):
         report = run(_spec(small_fixture, "kpl_full"))
-        cfg = report.config
+        cfg = report["config"]
         assert cfg["k"] == 3
         assert cfg["marginal"] == "uniform"
         assert cfg["solver"]["algorithm"] == "newton_semidual"
@@ -196,22 +198,32 @@ class TestRunModes:
 
     @pytest.mark.parametrize("mode", ["clip_baseline", "description_baseline", "kpl_text"])
     def test_modes_that_never_solve_echo_no_solver_or_learner(self, small_fixture, mode):
-        cfg = run(_spec(small_fixture, mode)).to_json_dict()["config"]
+        cfg = run(_spec(small_fixture, mode))["config"]
         assert cfg["solver"] is None and cfg["learn"] is None
         assert cfg["k"] == 3 and cfg["marginal"] == "uniform"
 
     def test_identical_runs_give_identical_reports(self, small_fixture):
-        a = run(_spec(small_fixture, "kpl_full")).to_json_dict()
-        b = run(_spec(small_fixture, "kpl_full")).to_json_dict()
+        a = run(_spec(small_fixture, "kpl_full"))
+        b = run(_spec(small_fixture, "kpl_full"))
         assert json.dumps(a) == json.dumps(b)
 
+
+    @pytest.mark.parametrize("mode", pipeline.MODES)
+    def test_run_returns_the_report_eval_writes(self, fixture_dir, tmp_path, mode):
+        files = {flag: str(fixture_dir / name) for flag, name in
+                 (("images", "images.emb"), ("kb", "kb.json"), ("labels", "labels.txt"))}
+        returned, written = tmp_path / "run.json", tmp_path / "eval.json"
+        pio.write_report(run(RunSpec(mode=mode, **files)), returned)
+        flags = [arg for flag, path in files.items() for arg in (f"--{flag}", path)]
+        assert main(["eval", "--mode", mode, *flags, "--out", str(written)]) == 0
+        assert returned.read_bytes() == written.read_bytes()
 
 class TestDefaultConfiguration:
     @pytest.mark.parametrize("seed", [42, 7])
     def test_default_solver_converges_on_default_fixture(self, tmp_path, seed):
         write_fixture(generate_fixture(seed, FixtureSpec()), tmp_path)
         spec = RunSpec(mode="kpl_full", images=tmp_path / "images.emb", kb=tmp_path / "kb.json")
-        assert run(spec).solver_diagnostics["converged"] is True
+        assert run(spec)["solver_diagnostics"]["converged"] is True
 
 
 class TestRunErrors:
@@ -283,10 +295,10 @@ class TestRelabelingEquivariance:
             base = run(
                 RunSpec(mode=mode, images=small_fixture / "images.emb",
                         kb=small_fixture / "kb.json")
-            ).predictions
+            )["predictions"]
             moved = run(
                 RunSpec(mode=mode, images=small_fixture / "images.emb", kb=kb2)
-            ).predictions
+            )["predictions"]
             np.testing.assert_array_equal(moved, inverse[base])
 
 
