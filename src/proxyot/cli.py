@@ -7,6 +7,7 @@ Results go to ``--out``; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -105,12 +106,15 @@ def _file_identity(path):
 
 
 def _refuse_overwrites(args, kb_embeddings=None) -> None:
-    """Refuse a command whose output is one of its inputs or its other output.
+    """Refuse a command whose output is one of its inputs, its other output or a directory.
 
     ``kb_embeddings`` is the EMB1 file the knowledge base names, once read.
     Symlinks, hard links and ``.``/``..`` spellings of one file all match.
+    A directory is refused with an ``IsADirectoryError``, as a write to it
+    would be, but before anything is read; ``gen-fixture`` writes into its
+    ``--out``.
     """
-    if getattr(args, "out", None) is None:
+    if getattr(args, "out", None) is None or args.handler is _cmd_gen_fixture:
         return
     named = {}  # file identity -> how the message names it
     for flag in ("images", "kb", "labels", "marginal"):
@@ -129,6 +133,8 @@ def _refuse_overwrites(args, kb_embeddings=None) -> None:
         key = _file_identity(path)
         if key in named:
             raise UsageError(f"{what} would overwrite {named[key]}")
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         named[key] = "the report"  # only pipeline/eval write a second file
 
 

@@ -170,7 +170,8 @@ def read_embeddings(path) -> np.ndarray:
             f"{path}: CRC-32 mismatch at byte offset {_HEADER.size + payload_len}: "
             f"stored 0x{stored_crc:08x}, computed 0x{actual_crc:08x}"
         )
-    values = values.astype(np.float64, copy=False)  # widens binary32 only
+    with np.errstate(invalid="ignore"):  # a binary32 signaling NaN; later checks name it
+        values = values.astype(np.float64, copy=False)  # widens binary32 only
     try:
         return values.reshape(rows, cols)
     except ValueError as exc:  # a zero-size shape too large for numpy, e.g. 0 x 2**62

@@ -13,10 +13,16 @@ terms of P alone are taken once per call, so an epoch makes one logits
 matmul, one exp over one K x N buffer and one Q X. The form adds and
 subtracts terms of size ~1/tau, so a loss at a fixed point, 0 exactly, may
 read a few ulps below 0.
+
+A ``learn`` call opens one floating-point error state for its whole descent.
+Each step updates the velocity and the weights in place and divides the rows
+by their plain norms; only a row whose plain norm is out of range (tiny, zero
+or overflowed) sends the step through ``l2_normalize_rows``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +30,7 @@ import numpy as np
 from .errors import DataError, NumericError, UsageError
 from .numerics import (
     _BLOCK_ROWS,
+    _MIN_PLAIN_NORM,
     _as_2d,
     _finite_settings,
     _softmax_columns,
@@ -116,7 +123,9 @@ def _objective(x: np.ndarray, p: np.ndarray, tau: float):
 
     The terms of P alone are taken here, once. Each evaluation fills one
     K x N buffer with Z = W X^T, then exp((Z - top) / tau) with top each
-    image's largest logit, then Q.
+    image's largest logit, then Q. An evaluation opens no error state of its
+    own: it runs under its caller's, and ``learn`` ignores overflow, division
+    by zero and invalid operations.
     """
     n, k = p.shape
     p_log_p = float(np.vdot(p, np.log(p, out=np.zeros_like(p), where=p > 0)))
@@ -128,21 +137,23 @@ def _objective(x: np.ndarray, p: np.ndarray, tau: float):
     def evaluate(w: np.ndarray) -> tuple[float, np.ndarray]:
         # just inside tau's range a shifted logit, the loss or the gradient can
         # still overflow; the caller rejects a loss or step that is not finite
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            z = np.matmul(w, x.T, out=buffer)
-            top = z.max(axis=0)  # per image
-            # only the largest magnitude can overflow, and Python float division
-            # overflows to inf without a warning; a denormal tau breaks it
-            largest = max(float(top.max(initial=0.0)), -float(z.min(initial=0.0)))
-            if not np.isfinite(largest / tau):
-                as_matrix(x, "image embeddings")  # so does a non-finite x: name its entry
-                raise NumericError(
-                    f"x @ w.T / tau_learn overflows (largest |x @ w.T| = {largest:.6g}, "
-                    f"tau_learn={tau:.6g}); rerun with a larger --tau-learn"
-                )
-            lse = _softmax_columns(z, top, tau)
-            value = (p_log_p - np.vdot(ptx, w) / tau + r @ lse) / n
-            return float(value), (z @ x - ptx) / (n * tau)
+        z = np.matmul(w, x.T, out=buffer)
+        top = z.max(axis=0)  # per image
+        # only the largest magnitude can overflow, and Python float division
+        # overflows to inf without a warning; a denormal tau breaks it
+        largest = max(float(top.max(initial=0.0)), -float(z.min(initial=0.0)))
+        if not math.isfinite(largest / tau):
+            as_matrix(x, "image embeddings")  # so does a non-finite x: name its entry
+            raise NumericError(
+                f"x @ w.T / tau_learn overflows (largest |x @ w.T| = {largest:.6g}, "
+                f"tau_learn={tau:.6g}); rerun with a larger --tau-learn"
+            )
+        lse = _softmax_columns(z, top, tau)
+        value = (p_log_p - np.vdot(ptx, w) / tau + r @ lse) / n
+        grad = z @ x
+        grad -= ptx
+        grad /= n * tau
+        return float(value), grad
 
     return evaluate
 
@@ -165,28 +176,40 @@ def learn(
     velocity = np.zeros_like(w)
     # each evaluation gives this step's loss and the next step's gradient
     objective = _objective(x, labels.p, cfg.tau_learn)
-    current, g = objective(w)
-    if not np.isfinite(current):
-        raise NumericError(f"initial loss is {current!r} ({settings})")
-    losses = [current]
-    stop_reason = "max_epochs"
-    for epoch in range(1, cfg.max_epochs + 1):
-        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 if g overflowed
-            velocity = cfg.momentum * velocity - cfg.learning_rate * g
-        # a step whose squared norm overflows has lost all trace of w
-        if not np.isfinite(np.vdot(velocity, velocity)):
-            raise NumericError(f"step diverged at epoch {epoch} ({settings}): its norm overflows")
-        try:
-            w = l2_normalize_rows(w + velocity)
-        except DataError as exc:  # the step cancelled a row of w exactly
-            raise NumericError(f"step diverged at epoch {epoch} ({settings}): {exc}") from None
+    # an overflow shows as a loss or step that is not finite, and is rejected
+    # there; inf * 0 in a step whose gradient overflowed gives NaN the same way
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         current, g = objective(w)
-        if not np.isfinite(current):
-            raise NumericError(f"loss became {current!r} at epoch {epoch} ({settings})")
-        losses.append(current)
-        if abs(losses[-2] - losses[-1]) < cfg.loss_tolerance:
-            stop_reason = "converged"
-            break
+        if not math.isfinite(current):
+            raise NumericError(f"initial loss is {current!r} ({settings})")
+        losses = [current]
+        stop_reason = "max_epochs"
+        for epoch in range(1, cfg.max_epochs + 1):
+            velocity *= cfg.momentum
+            velocity -= cfg.learning_rate * g
+            # a step whose squared norm overflows has lost all trace of w
+            if not math.isfinite(np.vdot(velocity, velocity)):
+                raise NumericError(
+                    f"step diverged at epoch {epoch} ({settings}): its norm overflows"
+                )
+            w += velocity
+            norms = np.linalg.norm(w, axis=1)  # as l2_normalize_rows takes them
+            if norms.min() >= _MIN_PLAIN_NORM and norms.max() < np.inf:
+                w /= norms[:, None]
+            else:
+                try:
+                    w = l2_normalize_rows(w)
+                except DataError as exc:  # the step cancelled a row of w exactly
+                    raise NumericError(
+                        f"step diverged at epoch {epoch} ({settings}): {exc}"
+                    ) from None
+            current, g = objective(w)
+            if not math.isfinite(current):
+                raise NumericError(f"loss became {current!r} at epoch {epoch} ({settings})")
+            losses.append(current)
+            if abs(losses[-2] - losses[-1]) < cfg.loss_tolerance:
+                stop_reason = "converged"
+                break
     return ProxyWeights(w), LearnTrace(losses, len(losses) - 1, stop_reason)
 
 

@@ -216,6 +216,36 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("data error: ")
         assert list(tmp_path.iterdir()) == []
 
+    def test_directory_out_is_refused_before_any_input_is_read(
+        self, cli_fixture, tmp_path, capsys, monkeypatch
+    ):
+        reads = []
+        real = pio.read_embeddings
+
+        def counting(*args, **kwargs):
+            reads.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pio, "read_embeddings", counting)
+        out = tmp_path / "reports"
+        out.mkdir()
+        args = _pipeline_args(cli_fixture, out, mode="kpl_full")
+        assert main(["eval", *args[1:]]) == 2
+        assert reads == []
+        assert capsys.readouterr().err.splitlines() == [
+            f"data error: [Errno 21] Is a directory: '{out}'"
+        ]
+
+    def test_directory_predictions_csv_leaves_no_report(self, cli_fixture, tmp_path, capsys):
+        (tmp_path / "r.csv").mkdir()
+        out = tmp_path / "r.json"
+        args = _pipeline_args(cli_fixture, out, mode="kpl_full")
+        assert main(["eval", *args[1:]]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"data error: [Errno 21] Is a directory: '{tmp_path / 'r.csv'}'"
+        ]
+        assert not out.exists()
+
     def test_bench_ot_empty_out_is_data_error(self, cli_fixture, capsys):
         code = main(
             ["bench-ot", "--images", str(cli_fixture / "images.emb"),

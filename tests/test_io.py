@@ -35,6 +35,18 @@ class TestEmb1RoundTrip:
         back = pio.read_embeddings(path)
         np.testing.assert_array_equal(back, m)
 
+    def test_binary32_signaling_nan_widens_without_a_warning(self, tmp_path):
+        # numpy warns "invalid value encountered in cast" when it widens a
+        # signaling NaN; the reader returns it, and as_matrix names it later
+        payload = struct.pack("<I", 0x7F81BB1A)
+        path = tmp_path / "snan.emb"
+        path.write_bytes(
+            b"EMB1" + struct.pack("<HBQQ", 1, 0, 1, 1) + payload
+            + struct.pack("<I", zlib.crc32(payload))
+        )
+        back = pio.read_embeddings(path)
+        assert back.shape == (1, 1) and np.isnan(back[0, 0])
+
     def test_empty_matrix_round_trips(self, tmp_path):
         path = tmp_path / "empty.emb"
         pio.write_embeddings(np.zeros((0, 6)), path)

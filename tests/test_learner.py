@@ -337,6 +337,17 @@ def _learn_instance(seed, n, k, d, one_hot, **cfg):
     return images, labels, init, LearnConfig(**cfg)
 
 
+def _tiny_row_instance():
+    """Two samples on opposite sides of the first axis: the first step takes
+    proxy row 1 from [1, 1e-200] to [0, 1e-200], whose plain norm underflows to 0."""
+    return (
+        np.array([[1.0, 0.0], [-1.0, 0.0]]),
+        PseudoLabels(np.eye(2)),
+        ProxyWeights(np.array([[1.0, 1e-200], [1.0, 1e-200]])),
+        LearnConfig(momentum=0.0, max_epochs=3, loss_tolerance=0.0),
+    )
+
+
 @st.composite
 def learn_instances(draw, small_steps_only=False):
     """Small problems over the loop's branches: one-hot and dense labels, a
@@ -410,6 +421,13 @@ class TestLearnMatchesReference:
         with pytest.raises(NumericError, match="step diverged at epoch 1 .*all-zero row 1"):
             learn(*instance)
 
+    def test_step_to_a_tiny_row_normalizes_it(self):
+        instance = _tiny_row_instance()
+        assert_same_learning(*instance)
+        w, trace = learn(*instance)
+        assert trace.epochs_run == 3
+        assert np.array_equal(w.w[1], [0.0, 1.0])  # the tiny row keeps its direction
+
     def test_denormal_tau_message(self):
         instance = _learn_instance(42, n=10, k=3, d=4, one_hot=False, tau_learn=1e-310)
         with pytest.raises(NumericError) as err:
@@ -435,6 +453,29 @@ class TestLearnMatchesReference:
         _, trace = learn(images, labels, init, cfg)
         assert trace.epochs_run == 20
         assert sum(calls) == 0  # finite images: the logits show it, no scan
+
+    @pytest.mark.parametrize(
+        "instance, calls",
+        [
+            (_learn_instance(7, n=30, k=4, d=6, one_hot=False, learning_rate=0.005,
+                             loss_tolerance=0.0, max_epochs=20), 0),
+            (_tiny_row_instance(), 1),
+        ],
+        ids=["clean", "tiny-row"],
+    )
+    def test_only_an_odd_row_takes_the_general_normalization(
+        self, monkeypatch, instance, calls
+    ):
+        made = []
+        real = learner.l2_normalize_rows
+
+        def counting(m, *args, **kwargs):
+            made.append(m)
+            return real(m, *args, **kwargs)
+
+        monkeypatch.setattr(learner, "l2_normalize_rows", counting)
+        learn(*instance)
+        assert len(made) == calls
 
 
 def assert_same_trajectory(images, labels, init, cfg):
