@@ -32,7 +32,6 @@ from .retrieval import (
     build_text_proxies,
     description_proxies,
     mean_image_feature,
-    name_proxies,
     retrieve,
     score_descriptions,
     top_k,
@@ -81,7 +80,6 @@ __all__ = [
     "retrieve",
     "build_text_proxies",
     "description_proxies",
-    "name_proxies",
     "ProxyWeights",
     "LearnConfig",
     "LearnTrace",

@@ -21,6 +21,7 @@ from .fixture import NAME_NOISE_FACTOR, FixtureSpec, generate_fixture, write_fix
 from .learner import LearnConfig
 from .pipeline import MODES, RunSpec, bench_solvers, learn_stage, load, run, text_stage
 from .pipeline import transport_stage
+from .retrieval import retrieve
 from .solvers import ALGORITHMS, SolverConfig
 
 __all__ = ["main"]
@@ -161,7 +162,7 @@ def _cmd_classify(args) -> int:
 def _cmd_retrieve(args) -> int:
     spec, inputs = _load(args)
     kb = inputs.kb
-    selection, _ = text_stage(inputs, spec.k)
+    selection = retrieve(inputs.images, kb, spec.k)
     doc = {
         "k": spec.k,
         "classes": [
@@ -181,7 +182,7 @@ def _cmd_retrieve(args) -> int:
 
 def _cmd_plan(args) -> int:
     spec, inputs = _load(args)
-    _, proxies = text_stage(inputs, spec.k)
+    proxies = text_stage(inputs, spec.k)
     diag, guide = transport_stage(inputs, proxies, spec.solver)
     _warn_at_caps(spec.solver.tolerance, diag, None)
     doc = {
@@ -213,7 +214,7 @@ def _cmd_learn(args) -> int:
 
 def _cmd_bench_ot(args) -> int:
     spec, inputs = _load(args)
-    _, proxies = text_stage(inputs, spec.k)
+    proxies = text_stage(inputs, spec.k)
     algorithms = [args.algorithm] if args.algorithm else ALGORITHMS
     configs = [replace(spec.solver, algorithm=name) for name in algorithms]
     rows = bench_solvers(inputs.images @ proxies.w.T, inputs.marginal, configs)

@@ -24,14 +24,7 @@ from . import io as pio
 from .errors import DataError, NumericError, UsageError
 from .learner import LearnConfig, ProxyWeights, classify, learn
 from .numerics import l2_normalize_rows
-from .retrieval import (
-    KnowledgeBase,
-    RetrievalResult,
-    build_text_proxies,
-    description_proxies,
-    name_proxies,
-    retrieve,
-)
+from .retrieval import KnowledgeBase, build_text_proxies, description_proxies, retrieve
 from .solvers import (
     ClassMarginal,
     PseudoLabels,
@@ -156,10 +149,9 @@ def load(spec: RunSpec) -> Inputs:
     return Inputs(images=images, kb=kb, marginal=q, gold=gold)
 
 
-def text_stage(inputs: Inputs, k: int) -> tuple[RetrievalResult, ProxyWeights]:
+def text_stage(inputs: Inputs, k: int) -> ProxyWeights:
     """Text Proxy Optimization: retrieve top-k descriptions, average them into proxies."""
-    selection = retrieve(inputs.images, inputs.kb, k)
-    return selection, build_text_proxies(inputs.kb, selection)
+    return build_text_proxies(inputs.kb, retrieve(inputs.images, inputs.kb, k))
 
 
 def transport_stage(
@@ -186,7 +178,7 @@ def learn_stage(inputs: Inputs, spec: RunSpec) -> tuple[ProxyWeights, dict, dict
     Returns the learned proxies with the report's ``solver_diagnostics`` and
     ``learn_summary`` sections, each in its fixed key order.
     """
-    _, proxies = text_stage(inputs, spec.k)
+    proxies = text_stage(inputs, spec.k)
     diagnostics, guide = transport_stage(inputs, proxies, spec.solver)
     weights, trace = learn(inputs.images, guide, proxies, spec.learn)
     return weights, diagnostics, {
@@ -210,11 +202,11 @@ def run(spec: RunSpec, inputs: Inputs | None = None) -> dict:
     kb = inputs.kb
     solver_diag = learned = None
     if spec.mode == "clip_baseline":
-        weights = name_proxies(kb.name_embedding_matrix())
+        weights = ProxyWeights(kb.name_embedding_matrix())
     elif spec.mode == "description_baseline":
         weights = description_proxies(kb)
     elif spec.mode == "kpl_text":
-        _, weights = text_stage(inputs, spec.k)
+        weights = text_stage(inputs, spec.k)
     else:  # kpl_full
         weights, solver_diag, learned = learn_stage(inputs, spec)
 

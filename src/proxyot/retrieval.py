@@ -27,7 +27,6 @@ __all__ = [
     "retrieve",
     "build_text_proxies",
     "description_proxies",
-    "name_proxies",
 ]
 
 
@@ -224,18 +223,21 @@ def build_text_proxies(kb: KnowledgeBase, selection: RetrievalResult) -> ProxyWe
                 f"integers in [0, {n})"
             )
         rows.append(rec.embeddings[idx].mean(axis=0))
-    return ProxyWeights(l2_normalize_rows(np.stack(rows)))
+    return _unit_proxies(kb, rows, f"top-{selection.k} descriptions")
 
 
 def description_proxies(kb: KnowledgeBase) -> ProxyWeights:
     """Average all descriptions per class (the no-retrieval baseline proxies)."""
     rows = [rec.embeddings.mean(axis=0) for rec in kb.classes]
-    return ProxyWeights(l2_normalize_rows(np.stack(rows)))
+    return _unit_proxies(kb, rows, "descriptions")
 
 
-def name_proxies(names_emb) -> ProxyWeights:
-    """Use class-name embeddings directly as proxies (the vanilla baseline)."""
-    mat = as_matrix(names_emb, "name embeddings")
-    if mat.shape[0] < 2:
-        raise UsageError(f"need at least 2 class rows, got {mat.shape[0]}")
-    return ProxyWeights(mat)
+def _unit_proxies(kb: KnowledgeBase, rows, averaged: str) -> ProxyWeights:
+    """Scale one mean row per class to unit norm; a zero mean is named by its class."""
+    mat = np.stack(rows)
+    zero = np.flatnonzero(~mat.any(axis=1))
+    if zero.size:
+        raise DataError(
+            f"class {kb.classes[zero[0]].name!r}: its {averaged} average to the zero vector"
+        )
+    return ProxyWeights(l2_normalize_rows(mat))

@@ -543,6 +543,13 @@ class TestNumericEdges:
         assert "epoch 1" in err[0] and "learning_rate=1e+308" in err[0]
 
     @pytest.mark.filterwarnings("error")
+    def test_non_finite_initial_loss_is_numeric_error(self, cli_fixture, tmp_path, capsys):
+        assert self._stage(cli_fixture, tmp_path, "learn", "--tau-learn", "1e-307") == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "numeric error: initial loss is nan (learning_rate=0.02, tau_learn=1e-307)"
+        ]
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("algorithm", ["sinkhorn_linear", "sinkhorn_log", "stable_greenkhorn", "newton_semidual"])
     def test_denormal_tau_is_numeric_error(self, cli_fixture, tmp_path, capsys, algorithm):
         code = self._stage(
@@ -644,6 +651,56 @@ class TestBadSettingsAndData:
         assert len(err) == 1 and err[0].startswith("data error: class 'class_01': ")
         norm = err[0].split("name embedding has norm ")[1].removesuffix(", expected 1")
         assert float(norm) == pytest.approx(2.0)
+
+
+class TestSmallKnowledgeBases:
+    """Knowledge bases at the edges of the proxy builders, written inline."""
+
+    @staticmethod
+    def _inputs(tmp_path, classes):
+        images = tmp_path / "images.emb"
+        pio.write_embeddings(np.array([[1.0, 0.0], [0.6, 0.8], [0.0, 1.0]]), images)
+        labels = tmp_path / "labels.txt"
+        labels.write_text(f"{classes[-1]['name']}\n" * 3)
+        kb = tmp_path / "kb.json"
+        kb.write_text(json.dumps({"dim": 2, "classes": classes}))
+        return ["--images", str(images), "--kb", str(kb), "--labels", str(labels)]
+
+    # 'up' has two opposite descriptions, so their mean is the zero vector
+    OPPOSITE = [
+        {"name": "up", "descriptions": ["a", "b"], "embeddings": [[1.0, 0.0], [-1.0, 0.0]]},
+        {"name": "down", "descriptions": ["c", "d"], "embeddings": [[0.0, 1.0], [0.6, 0.8]]},
+    ]
+
+    def test_one_class_runs_in_every_mode(self, tmp_path):
+        args = self._inputs(tmp_path, [
+            {"name": "only", "descriptions": ["a", "b"], "embeddings": [[0.0, 1.0], [0.6, 0.8]],
+             "name_embedding": [0.0, 1.0]},
+        ])
+        for mode in ["clip_baseline", "description_baseline", "kpl_text", "kpl_full"]:
+            out = tmp_path / f"{mode}.json"
+            assert main(["eval", "--mode", mode, *args, "--k", "2", "--out", str(out)]) == 0
+            assert json.loads(out.read_text())["accuracy"] == 1.0
+        assert json.loads((tmp_path / "clip_baseline.json").read_text())["predictions"] == [0] * 3
+
+    def test_retrieve_writes_no_proxies_so_a_zero_mean_passes(self, tmp_path):
+        args = self._inputs(tmp_path, self.OPPOSITE)[:4]
+        out = tmp_path / "r.json"
+        assert main(["retrieve", *args, "--k", "2", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert [entry["selected_indices"] for entry in doc["classes"]] == [[0, 1], [1, 0]]
+
+    @pytest.mark.parametrize(
+        "mode, averaged", [("description_baseline", "descriptions"), ("kpl_text", "top-2 descriptions")]
+    )
+    def test_proxy_averaging_to_zero_names_its_class(self, tmp_path, capsys, mode, averaged):
+        args = self._inputs(tmp_path, self.OPPOSITE)
+        out = tmp_path / "e.json"
+        assert main(["eval", "--mode", mode, *args, "--k", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"data error: class 'up': its {averaged} average to the zero vector"
+        ]
+        assert not out.exists()
 
 
 _IO = ("--images", "--kb")

@@ -508,7 +508,7 @@ class TestLearnMatchesLogSoftmaxForm:
         spec = RunSpec(mode="kpl_full", images=tmp_path / "images.emb", kb=tmp_path / "kb.json")
         report = run(spec)
         inputs = load(spec)
-        _, proxies = text_stage(inputs, spec.k)
+        proxies = text_stage(inputs, spec.k)
         _, guide = transport_stage(inputs, proxies, spec.solver)
         weights, trace = learn_log_softmax_reference(inputs.images, guide, proxies, spec.learn)
         assert np.array_equal(classify(inputs.images, weights), report["predictions"])

@@ -16,7 +16,6 @@ from proxyot.retrieval import (
     build_text_proxies,
     description_proxies,
     mean_image_feature,
-    name_proxies,
     retrieve,
     score_descriptions,
     top_k,
@@ -218,20 +217,16 @@ class TestProxies:
         assert isinstance(baseline, ProxyWeights)
 
     def test_name_proxies_are_passthrough(self):
-        rng = np.random.default_rng(42)
-        names = unit_rows(rng, (3, 7))
-        proxies = name_proxies(names)
+        """The clip baseline's proxies are the knowledge base's name rows, unchanged."""
+        kb = make_kb(np.random.default_rng(42), n_classes=3, dim=7, with_names=True)
+        names = np.stack([rec.name_embedding for rec in kb.classes])
+        proxies = ProxyWeights(kb.name_embedding_matrix())
         np.testing.assert_array_equal(proxies.w, names)
-        assert isinstance(proxies, ProxyWeights)
         np.testing.assert_allclose(np.linalg.norm(proxies.w, axis=1), 1.0, atol=1e-9)
-
-    def test_name_proxies_need_two_classes(self):
-        with pytest.raises(UsageError):
-            name_proxies(np.array([[1.0, 0.0]]))
 
     def test_name_proxies_reject_non_unit_rows(self):
         with pytest.raises(UsageError, match="proxy row 1 has norm 2.0, expected 1"):
-            name_proxies(np.array([[1.0, 0.0], [0.0, 2.0]]))
+            ProxyWeights(np.array([[1.0, 0.0], [0.0, 2.0]]))
 
     @pytest.mark.parametrize("scale", [2.0, 1.0 + 1e-8, float("nan")])
     def test_name_embedding_matrix_rejects_non_unit_rows(self, scale):

@@ -28,7 +28,6 @@ from proxyot import (
     l2_normalize_rows,
     learn,
     mean_image_feature,
-    name_proxies,
     pseudo_labels,
     solve,
     top_k,
@@ -46,7 +45,7 @@ def _rows(rng, n, d):
 def _calls(n, k, d, algorithm):
     """Each public function on inputs of N = n images, K = k classes and d dimensions."""
     rng = np.random.default_rng(0)
-    images, proxies, names = _rows(rng, n, d), _rows(rng, k, d), _rows(rng, k, d)
+    images, proxies = _rows(rng, n, d), _rows(rng, k, d)
     m = images @ proxies.T
     p = np.full((n, k), 1.0 / max(k, 1))
     plan = TransportPlan(np.log(p), 1, 0.0, 0.0, True)
@@ -62,7 +61,6 @@ def _calls(n, k, d, algorithm):
         "entropic_objective": lambda: entropic_objective(plan, m, 0.01),
         "l2_normalize_rows": lambda: l2_normalize_rows(images),
         "mean_image_feature": lambda: mean_image_feature(images),
-        "name_proxies": lambda: name_proxies(names),
         "learn": lambda: learn(
             images, PseudoLabels(p), ProxyWeights(proxies), LearnConfig(max_epochs=2)
         ),

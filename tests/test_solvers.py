@@ -17,6 +17,7 @@ from proxyot.solvers import (
     _HALVINGS,
     _MIN_DAMPING,
     _REFRESH_EVERY,
+    _armijo_step,
     _check_inputs,
     _finish,
     _violations,
@@ -751,6 +752,13 @@ class TestNewtonSemidual:
         assert not np.any(np.isnan(plan.log_p)) and not np.any(plan.log_p == np.inf)
         assert plan.converged == (rv <= tolerance and cv <= tolerance)
         assert (rv, cv) == _violations(np.exp(plan.log_p), 1 / n, q.q)
+
+    @pytest.mark.filterwarnings("error")
+    def test_line_search_without_a_descent_step_returns_none(self):
+        """Two classes of equal mass and d = (1, -1): F rises by log cosh t at
+        every t, so no halving meets Armijo's test."""
+        a = np.full((2, 3), 0.5)
+        assert _armijo_step(a, np.array([0.5, 0.5]), np.array([1.0, -1.0]), -1.0) is None
 
 
 class TestNewtonMatchesReference:

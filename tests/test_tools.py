@@ -1,10 +1,13 @@
 """The output comparison tool: its matrix, its masking, and the work directory it removes."""
 
+import argparse
 import importlib.util
 import tempfile
 from pathlib import Path
 
 import pytest
+
+from proxyot.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -19,10 +22,17 @@ def tool():
     return module
 
 
-def test_matrix_has_56_uniquely_labelled_invocations(tool):
+def test_matrix_has_76_uniquely_labelled_invocations(tool):
     labels = [label for label, _ in tool.matrix(Path("fx"))]
-    assert len(labels) == 56
+    assert len(labels) == 76
     assert len(set(labels)) == len(labels)
+
+
+def test_matrix_runs_every_subcommand(tool):
+    (subcommands,) = [
+        a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    assert {args[0] for _, args in tool.matrix(Path("fx"))} == set(subcommands)
 
 
 def test_masked_replaces_the_output_directory_and_timings(tool):

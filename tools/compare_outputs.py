@@ -9,10 +9,15 @@ checkout's ``src``). The fixtures are generated once, with OLD_SRC: seeds 42
 and 7, each at 300 x 5 x 32 and at 5000 x 20 x 128. Each invocation then
 runs twice, once under each ``PYTHONPATH``, every time in a fresh process.
 Per fixture the matrix is ``eval`` in all four modes, ``plan`` under each
-``--algorithm``, ``learn``, ``bench-ot``, ``plan --tolerance 0`` and
-``plan --tau-ot 1e-310`` (which exits 3); on the 300 x 5 fixtures, ``eval``,
-``plan``, ``plan --tolerance 0`` and ``learn`` also run with the zero-mass
-marginal ``[1, 0, 2, 1, 0]``. That is 56 invocations a side.
+``--algorithm``, ``learn``, ``bench-ot``, ``plan --tolerance 0``,
+``plan --tau-ot 1e-310`` (which exits 3), ``retrieve``,
+``classify --mode kpl_full``, ``pipeline --mode kpl_text`` without labels,
+``eval`` with the knowledge base as its images (bad magic, which exits 2)
+and the fixture's own ``gen-fixture``, into the invocation's output
+directory; on the 300 x 5 fixtures, ``eval``, ``plan``,
+``plan --tolerance 0`` and ``learn`` also run with the zero-mass marginal
+``[1, 0, 2, 1, 0]``. That is 76 invocations a side, covering every
+subcommand.
 
 Compared are stdout, stderr, the exit code and every file an invocation
 writes, byte for byte. Before comparing, the invocation's own output
@@ -68,6 +73,17 @@ def matrix(fixtures: Path) -> list[tuple[str, list[str]]]:
         runs.append((f"{name} bench-ot", ["bench-ot", *inputs, "--out", "{out}/bench.json"]))
         runs.append((f"{name} plan tau-ot 1e-310",
                      ["plan", *inputs, "--tau-ot", "1e-310", "--out", "{out}/plan.json"]))
+        runs.append((f"{name} retrieve", ["retrieve", *inputs, "--out", "{out}/retrieval.json"]))
+        runs.append((f"{name} classify kpl_full",
+                     ["classify", "--mode", "kpl_full", *inputs, "--out", "{out}/predictions.csv"]))
+        runs.append((f"{name} pipeline kpl_text",
+                     ["pipeline", "--mode", "kpl_text", *inputs, "--out", "{out}/report.json"]))
+        runs.append((f"{name} eval kpl_text kb as images",
+                     ["eval", "--mode", "kpl_text", "--images", str(fx / "kb.json"),
+                      "--kb", str(fx / "kb.json"), *labels, "--out", "{out}/report.json"]))
+        seed, sizes = FIXTURES[name]
+        runs.append((f"{name} gen-fixture",
+                     ["gen-fixture", "--seed", str(seed), *sizes, "--out", "{out}"]))
         for tag, marginal in variants:
             if tag:
                 runs.append((f"{name} eval kpl_full{tag}",
