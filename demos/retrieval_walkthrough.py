@@ -13,10 +13,7 @@ from proxyot import (
     KnowledgeBase,
     build_text_proxies,
     description_proxies,
-    mean_image_feature,
     retrieve,
-    score_descriptions,
-    top_k,
 )
 from proxyot.numerics import l2_normalize_rows
 
@@ -69,18 +66,19 @@ kb = KnowledgeBase(
     ),
 )
 
-feat = mean_image_feature(images)
-print("mean image feature (first 3 coords):", np.round(feat[:3], 3))
+print("mean image feature (first 3 coords):", np.round(images.mean(axis=0)[:3], 3))
 
-for j, rec in enumerate(kb.classes):
-    scores = score_descriptions(feat, kb, j)
-    order = top_k(scores, 2)
-    print(f"\nclass {rec.name!r} description scores:")
-    for l, (text, s) in enumerate(zip(rec.descriptions, scores)):
-        marker = " <-- selected" if l in order else ""
-        print(f"  [{l}] {s:+.3f}  {text}{marker}")
-
+# k = 4 keeps every description, best first; k = 2 is the selection that is averaged
+ranked = retrieve(images, kb, k=4)
 selection = retrieve(images, kb, k=2)
+for rec, order, scores, chosen in zip(
+    kb.classes, ranked.selected, ranked.scores, selection.selected
+):
+    print(f"\nclass {rec.name!r} description scores, best first:")
+    for l, s in zip(order, scores):
+        marker = " <-- selected" if l in chosen else ""
+        print(f"  [{l}] {s:+.3f}  {rec.descriptions[l]}{marker}")
+
 proxies = build_text_proxies(kb, selection)
 print("\ntop-2 retrieved proxies:")
 print(np.round(proxies.w, 3))

@@ -31,9 +31,7 @@ from .retrieval import (
     RetrievalResult,
     build_text_proxies,
     description_proxies,
-    mean_image_feature,
     retrieve,
-    score_descriptions,
     top_k,
 )
 from .solvers import (
@@ -74,8 +72,6 @@ __all__ = [
     "ClassRecord",
     "KnowledgeBase",
     "RetrievalResult",
-    "mean_image_feature",
-    "score_descriptions",
     "top_k",
     "retrieve",
     "build_text_proxies",

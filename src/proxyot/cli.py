@@ -351,6 +351,9 @@ def main(argv=None) -> int:
     except OSError as exc:  # a path the user named cannot be read or written
         print(f"{DataError.label}: {exc}", file=sys.stderr)
         return DataError.exit_code
+    except MemoryError as exc:  # numpy's message names the shape it could not allocate
+        print(f"{DataError.label}: out of memory: {exc}", file=sys.stderr)
+        return DataError.exit_code
 
 
 if __name__ == "__main__":

@@ -21,8 +21,6 @@ __all__ = [
     "ClassRecord",
     "KnowledgeBase",
     "RetrievalResult",
-    "mean_image_feature",
-    "score_descriptions",
     "top_k",
     "retrieve",
     "build_text_proxies",
@@ -147,39 +145,6 @@ class RetrievalResult:
                 raise UsageError(f"class {j}: scores are not sorted non-increasing")
 
 
-def mean_image_feature(images) -> np.ndarray:
-    """Arithmetic mean of the image embedding rows, deliberately unnormalized.
-
-    Only a non-finite mean makes ``as_matrix`` scan the input to name the entry.
-    """
-    mat = _as_2d(images, "image embeddings")
-    if mat.shape[0] == 0:
-        raise UsageError("cannot take the mean image feature of an empty dataset")
-    with np.errstate(invalid="ignore"):  # inf - inf
-        mean = mat.mean(axis=0)
-    if not np.all(np.isfinite(mean)):
-        as_matrix(mat, "image embeddings")
-    return mean
-
-
-def score_descriptions(mean_feat, kb: KnowledgeBase, class_index: int) -> np.ndarray:
-    """Cosine of the mean image feature against every description of one class."""
-    feat = as_vector(mean_feat, "mean image feature")
-    if feat.size != kb.dim:
-        raise UsageError(
-            f"mean image feature has dim {feat.size} but the knowledge base has dim {kb.dim}"
-        )
-    if not 0 <= class_index < kb.n_classes:
-        raise UsageError(f"class index {class_index} out of range [0, {kb.n_classes})")
-    feat_norm = np.linalg.norm(feat)
-    if feat_norm == 0.0:
-        raise DataError(
-            "mean image feature is the zero vector; scores are undefined"
-        )
-    emb = kb.classes[class_index].embeddings
-    return (emb @ feat) / (feat_norm * np.linalg.norm(emb, axis=1))
-
-
 def top_k(scores, k: int) -> np.ndarray:
     """Indices of the k largest scores, best first; ties keep the lower index."""
     s = as_vector(scores, "scores")
@@ -189,17 +154,38 @@ def top_k(scores, k: int) -> np.ndarray:
 
 
 def retrieve(images, kb: KnowledgeBase, k: int) -> RetrievalResult:
-    """Score and select the top-k descriptions for every class."""
-    feat = mean_image_feature(images)
-    selected = []
-    score_lists = []
-    for j, rec in enumerate(kb.classes):
+    """Score every description against the mean image; keep each class's top k.
+
+    A description's score is its cosine with the arithmetic mean of the image
+    rows, which is deliberately left unnormalized. The inputs are checked once,
+    before any class is scored; only a non-finite mean makes ``as_matrix``
+    scan the images to name the entry.
+    """
+    mat = _as_2d(images, "image embeddings")
+    if mat.shape[0] == 0:
+        raise UsageError("cannot take the mean image feature of an empty dataset")
+    with np.errstate(invalid="ignore"):  # inf - inf
+        feat = mat.mean(axis=0)
+    if not np.all(np.isfinite(feat)):
+        as_matrix(mat, "image embeddings")
+    if feat.size != kb.dim:
+        raise UsageError(
+            f"mean image feature has dim {feat.size} but the knowledge base has dim {kb.dim}"
+        )
+    for rec in kb.classes:
         if k > rec.n_descriptions:
             raise UsageError(
                 f"k={k} exceeds the {rec.n_descriptions} descriptions "
                 f"of class {rec.name!r}"
             )
-        scores = score_descriptions(feat, kb, j)
+    feat_norm = np.linalg.norm(feat)
+    if feat_norm == 0.0:
+        raise DataError("mean image feature is the zero vector; scores are undefined")
+    selected = []
+    score_lists = []
+    for rec in kb.classes:
+        emb = rec.embeddings
+        scores = (emb @ feat) / (feat_norm * np.linalg.norm(emb, axis=1))
         idx = top_k(scores, k)
         selected.append(idx)
         score_lists.append(scores[idx])

@@ -187,6 +187,33 @@ class TestExitCodes:
         assert code == 3
         assert "overflow" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["eval", "learn"])
+    def test_out_of_memory_is_one_data_error_line(
+        self, cli_fixture, tmp_path, capsys, monkeypatch, command
+    ):
+        def exhausted(*args):
+            raise MemoryError(
+                "Unable to allocate 38.1 MiB for an array with shape (50, 100000) "
+                "and data type float64"
+            )
+
+        # eval reaches learn_stage through run, learn calls it from the CLI module
+        monkeypatch.setattr("proxyot.pipeline.learn_stage", exhausted)
+        monkeypatch.setattr("proxyot.cli.learn_stage", exhausted)
+        inputs = ["--images", str(cli_fixture / "images.emb"), "--kb", str(cli_fixture / "kb.json")]
+        args = {
+            "eval": ["eval", *_pipeline_args(cli_fixture, tmp_path / "r.json", "kpl_full")[1:]],
+            "learn": ["learn", *inputs, "--out", str(tmp_path / "r.emb")],
+        }[command]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "data error: out of memory: Unable to allocate 38.1 MiB for an array with "
+            "shape (50, 100000) and data type float64"
+        ]
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("case", [
         "images_under_a_file", "name_too_long", "out_under_a_file", "gen_fixture_over_a_file",
     ])

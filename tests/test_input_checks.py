@@ -16,7 +16,7 @@ from conftest import make_kb, unit_rows
 from proxyot.errors import DataError
 from proxyot.learner import LearnConfig, ProxyWeights, classify, learn
 from proxyot.numerics import _BLOCK_ROWS
-from proxyot.retrieval import mean_image_feature, retrieve
+from proxyot.retrieval import retrieve
 from proxyot.solvers import (
     ALGORITHMS,
     ClassMarginal,
@@ -62,11 +62,10 @@ def _learning_inputs(clean):
 
 @BOUNDED
 @given(case=poisoned())
-def test_retrieve_and_mean_image_feature(case):
+def test_retrieve(case):
     clean, bad, entry = case
     kb = make_kb(np.random.default_rng(1), n_classes=2, n_descriptions=2, dim=clean.shape[1])
     assert_rejects(lambda: retrieve(bad, kb, 1), entry)
-    assert_rejects(lambda: mean_image_feature(bad), entry)
 
 
 @BOUNDED

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -16,7 +17,8 @@ from proxyot.errors import DataError, UsageError
 from proxyot.fixture import FixtureSpec, generate_fixture, write_fixture
 from proxyot.learner import LearnConfig
 from proxyot import pipeline
-from proxyot.pipeline import RunSpec, accuracy, bench_solvers, load, run
+from proxyot.pipeline import Inputs, RunSpec, accuracy, bench_solvers, load, run
+from proxyot.retrieval import KnowledgeBase
 from proxyot.solvers import ClassMarginal, SolverConfig
 
 FAST_SOLVER = SolverConfig(tau_ot=0.05, max_iterations=20_000, tolerance=1e-6)
@@ -300,6 +302,59 @@ class TestRelabelingEquivariance:
                 RunSpec(mode=mode, images=small_fixture / "images.emb", kb=kb2)
             )["predictions"]
             np.testing.assert_array_equal(moved, inverse[base])
+
+
+_KPL_FULL = RunSpec(mode="kpl_full", images="images.emb", kb="kb.json")
+_PERMUTATIONS = settings(max_examples=20, deadline=None, derandomize=True)
+
+
+@functools.lru_cache(maxsize=None)
+def _kpl_full(seed):
+    """The default fixture of ``seed`` as run inputs, and its default kpl_full report."""
+    fx = generate_fixture(seed, FixtureSpec())
+    inputs = Inputs(fx.images, fx.kb, ClassMarginal.uniform(fx.kb.n_classes), fx.labels)
+    return inputs, run(_KPL_FULL, inputs)
+
+
+def _stops(report):
+    """Where the chain's two iterative stages stopped."""
+    learned = report["learn_summary"]
+    return (report["solver_diagnostics"]["iterations_used"],
+            learned["epochs_run"], learned["stop_reason"])
+
+
+class TestKplFullInvariance:
+    """The whole chain does not depend on the order of the images or of the classes.
+
+    Each property compares predictions and stopping points only: a permutation
+    reorders the sums inside the chain, so the floats may differ in their last bits.
+    """
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    @_PERMUTATIONS
+    @given(perm=st.permutations(range(FixtureSpec().n_images)).map(np.array))
+    def test_permuting_the_images_permutes_the_predictions(self, seed, perm):
+        inputs, base = _kpl_full(seed)
+        moved = run(_KPL_FULL, Inputs(inputs.images[perm], inputs.kb, inputs.marginal,
+                                      inputs.gold[perm]))
+        assert moved["predictions"] == [base["predictions"][i] for i in perm]
+        assert _stops(moved) == _stops(base)
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    @_PERMUTATIONS
+    @given(perm=st.permutations(range(FixtureSpec().n_classes)))
+    def test_permuting_the_classes_keeps_the_predicted_names(self, seed, perm):
+        inputs, base = _kpl_full(seed)
+        kb = inputs.kb
+        new_index = np.argsort(perm)  # old class index -> its index in the permuted KB
+        moved = run(_KPL_FULL, Inputs(
+            inputs.images, KnowledgeBase(tuple(kb.classes[j] for j in perm), kb.dim),
+            inputs.marginal, new_index[inputs.gold],
+        ))
+        assert [moved["class_names"][c] for c in moved["predictions"]] == [
+            base["class_names"][c] for c in base["predictions"]
+        ]
+        assert _stops(moved) == _stops(base)
 
 
 class TestBenchSolvers:

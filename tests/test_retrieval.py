@@ -15,9 +15,7 @@ from proxyot.retrieval import (
     RetrievalResult,
     build_text_proxies,
     description_proxies,
-    mean_image_feature,
     retrieve,
-    score_descriptions,
     top_k,
 )
 
@@ -45,27 +43,47 @@ class TestKnowledgeBaseValidation:
             ClassRecord("c", (), np.zeros((0, 4)))
 
 
+def _all_scores(images, kb):
+    """Every class's scores, all descriptions kept (k = the count each class has)."""
+    result = retrieve(images, kb, kb.classes[0].n_descriptions)
+    return result.selected, result.scores
+
+
 class TestMeanImageFeature:
     def test_single_image_is_identity(self):
         rng = np.random.default_rng(42)
         img = unit_rows(rng, (1, 6))
-        np.testing.assert_array_equal(mean_image_feature(img), img[0])
+        others = unit_rows(rng, (2, 6))
+        kb = KnowledgeBase(
+            classes=(ClassRecord("c", ("a", "b", "c"), np.vstack([others[0], img, others[1]])),),
+            dim=6,
+        )
+        (selected,), (scores,) = _all_scores(img, kb)
+        assert selected[0] == 1
+        np.testing.assert_allclose(scores[0], 1.0, atol=1e-12)
 
     def test_axis_rows(self):
-        np.testing.assert_allclose(
-            mean_image_feature([[1.0, 0.0], [0.0, 1.0]]), [0.5, 0.5], atol=1e-15
+        s = 1.0 / np.sqrt(2.0)
+        kb = KnowledgeBase(
+            classes=(ClassRecord(
+                "c", ("x", "y", "diagonal", "anti"),
+                np.array([[1.0, 0.0], [0.0, 1.0], [s, s], [s, -s]]),
+            ),),
+            dim=2,
         )
+        (selected,), (scores,) = _all_scores([[1.0, 0.0], [0.0, 1.0]], kb)
+        np.testing.assert_array_equal(selected, [2, 0, 1, 3])
+        np.testing.assert_allclose(scores, [1.0, s, s, 0.0], atol=1e-15)
 
     def test_antipodal_rows_give_zero_vector(self):
-        feat = mean_image_feature([[1.0, 0.0], [-1.0, 0.0]])
-        np.testing.assert_array_equal(feat, [0.0, 0.0])
         kb = make_kb(np.random.default_rng(0), dim=2, n_descriptions=2)
         with pytest.raises(DataError, match="zero"):
-            score_descriptions(feat, kb, 0)
+            retrieve([[1.0, 0.0], [-1.0, 0.0]], kb, 2)
 
     def test_empty_dataset_rejected(self):
+        kb = make_kb(np.random.default_rng(0), dim=4)
         with pytest.raises(UsageError):
-            mean_image_feature(np.zeros((0, 4)))
+            retrieve(np.zeros((0, 4)), kb, 1)
 
 
 class TestScoreDescriptions:
@@ -75,46 +93,40 @@ class TestScoreDescriptions:
         kb = KnowledgeBase(
             classes=(ClassRecord("c", ("a",), direction[None, :]),), dim=5
         )
-        scores = score_descriptions(3.7 * direction, kb, 0)
+        _, (scores,) = _all_scores(3.7 * direction[None, :], kb)
         np.testing.assert_allclose(scores, [1.0], atol=1e-12)
 
     def test_orthogonal_description_scores_zero(self):
         kb = KnowledgeBase(
             classes=(ClassRecord("c", ("a",), np.array([[0.0, 1.0]])),), dim=2
         )
-        scores = score_descriptions(np.array([2.0, 0.0]), kb, 0)
+        _, (scores,) = _all_scores([[2.0, 0.0]], kb)
         np.testing.assert_allclose(scores, [0.0], atol=1e-15)
 
     def test_invariant_to_positive_scaling(self):
         rng = np.random.default_rng(42)
         kb = make_kb(rng, dim=6)
-        feat = rng.standard_normal(6)
-        np.testing.assert_allclose(
-            score_descriptions(feat, kb, 1),
-            score_descriptions(250.0 * feat, kb, 1),
-            atol=1e-12,
-        )
-
-    def test_bad_class_index_rejected(self):
-        kb = make_kb(np.random.default_rng(42))
-        with pytest.raises(UsageError):
-            score_descriptions(np.ones(8), kb, 99)
+        images = rng.standard_normal((5, 6))
+        for a, b in zip(_all_scores(images, kb)[1], _all_scores(250.0 * images, kb)[1]):
+            np.testing.assert_allclose(a, b, atol=1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
+        n_images=st.integers(1, 3),
         dim=st.integers(1, 12),
         n_descriptions=st.integers(1, 6),
         scale=st.sampled_from([1e-6, 1.0, 1e6]),
     )
-    def test_matches_plain_python_cosine(self, seed, dim, n_descriptions, scale):
+    def test_matches_plain_python_cosine(self, seed, n_images, dim, n_descriptions, scale):
         rng = np.random.default_rng(seed)
         kb = make_kb(rng, n_classes=2, n_descriptions=n_descriptions, dim=dim)
-        feat = scale * rng.standard_normal(dim)
-        for j, rec in enumerate(kb.classes):
-            scores = score_descriptions(feat, kb, j)
-            want = [_cosine_reference(feat.tolist(), row) for row in rec.embeddings.tolist()]
-            np.testing.assert_allclose(scores, want, rtol=0, atol=1e-12)
+        images = scale * rng.standard_normal((n_images, dim))
+        feat = [math.fsum(column) / n_images for column in images.T.tolist()]
+        for rec, selected, scores in zip(kb.classes, *_all_scores(images, kb)):
+            want = [_cosine_reference(feat, row) for row in rec.embeddings.tolist()]
+            np.testing.assert_allclose(scores, np.array(want)[selected], rtol=0, atol=1e-12)
+            assert np.all(np.diff(scores) <= 0)
             assert np.all((-1.0 <= scores) & (scores <= 1.0))
 
 

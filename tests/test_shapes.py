@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from proxyot import (
     ALGORITHMS,
     ClassMarginal,
+    ClassRecord,
+    KnowledgeBase,
     LearnConfig,
     ProxyOTError,
     ProxyWeights,
@@ -27,8 +29,8 @@ from proxyot import (
     entropic_objective,
     l2_normalize_rows,
     learn,
-    mean_image_feature,
     pseudo_labels,
+    retrieve,
     solve,
     top_k,
 )
@@ -52,6 +54,12 @@ def _calls(n, k, d, algorithm):
     # a marginal of at least one class, so solve meets an N x 0 matrix itself;
     # a capped solve ends unconverged on 3 x 3, which is still a return
     q = ClassMarginal.uniform(max(k, 1))
+    # a knowledge base needs a class and unit rows, so its dim is at least 1;
+    # retrieve then meets zero-row and zero-width images itself
+    kb = KnowledgeBase(
+        tuple(ClassRecord(f"c{j}", ("a",), _rows(rng, 1, max(d, 1))) for j in range(max(k, 1))),
+        max(d, 1),
+    )
     return {
         "ProxyWeights": lambda: ProxyWeights(proxies),
         "PseudoLabels": lambda: PseudoLabels(p),
@@ -60,7 +68,7 @@ def _calls(n, k, d, algorithm):
         "pseudo_labels": lambda: pseudo_labels(plan),
         "entropic_objective": lambda: entropic_objective(plan, m, 0.01),
         "l2_normalize_rows": lambda: l2_normalize_rows(images),
-        "mean_image_feature": lambda: mean_image_feature(images),
+        "retrieve": lambda: retrieve(images, kb, 1),
         "learn": lambda: learn(
             images, PseudoLabels(p), ProxyWeights(proxies), LearnConfig(max_epochs=2)
         ),

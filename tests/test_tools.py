@@ -22,9 +22,9 @@ def tool():
     return module
 
 
-def test_matrix_has_76_uniquely_labelled_invocations(tool):
+def test_matrix_has_80_uniquely_labelled_invocations(tool):
     labels = [label for label, _ in tool.matrix(Path("fx"))]
-    assert len(labels) == 76
+    assert len(labels) == 80
     assert len(set(labels)) == len(labels)
 
 

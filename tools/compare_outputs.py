@@ -10,13 +10,14 @@ and 7, each at 300 x 5 x 32 and at 5000 x 20 x 128. Each invocation then
 runs twice, once under each ``PYTHONPATH``, every time in a fresh process.
 Per fixture the matrix is ``eval`` in all four modes, ``plan`` under each
 ``--algorithm``, ``learn``, ``bench-ot``, ``plan --tolerance 0``,
-``plan --tau-ot 1e-310`` (which exits 3), ``retrieve``,
-``classify --mode kpl_full``, ``pipeline --mode kpl_text`` without labels,
-``eval`` with the knowledge base as its images (bad magic, which exits 2)
+``plan --tau-ot 1e-310`` (which exits 3), ``retrieve``, ``retrieve --k 20``
+(every description, so every score is compared), ``classify --mode
+kpl_full``, ``pipeline --mode kpl_text`` without labels, ``eval`` with the
+knowledge base as its images (bad magic, which exits 2)
 and the fixture's own ``gen-fixture``, into the invocation's output
 directory; on the 300 x 5 fixtures, ``eval``, ``plan``,
 ``plan --tolerance 0`` and ``learn`` also run with the zero-mass marginal
-``[1, 0, 2, 1, 0]``. That is 76 invocations a side, covering every
+``[1, 0, 2, 1, 0]``. That is 80 invocations a side, covering every
 subcommand.
 
 Compared are stdout, stderr, the exit code and every file an invocation
@@ -74,6 +75,8 @@ def matrix(fixtures: Path) -> list[tuple[str, list[str]]]:
         runs.append((f"{name} plan tau-ot 1e-310",
                      ["plan", *inputs, "--tau-ot", "1e-310", "--out", "{out}/plan.json"]))
         runs.append((f"{name} retrieve", ["retrieve", *inputs, "--out", "{out}/retrieval.json"]))
+        runs.append((f"{name} retrieve k 20",
+                     ["retrieve", *inputs, "--k", "20", "--out", "{out}/retrieval.json"]))
         runs.append((f"{name} classify kpl_full",
                      ["classify", "--mode", "kpl_full", *inputs, "--out", "{out}/predictions.csv"]))
         runs.append((f"{name} pipeline kpl_text",
