@@ -29,7 +29,10 @@ is optional in both.
 
 Reports, and the JSON half of a knowledge base, are written by
 ``write_report``: the bytes of ``json.dumps(doc, indent=2)`` plus a newline,
-with one join for each flat list of ints.
+with one join for each flat list of ints, through one string per distinct
+value. ``write_predictions_csv`` builds its CSV as bytes in numpy, one block
+per digit width of the index, and ``read_labels`` resolves each distinct
+line of a label file once.
 """
 
 from __future__ import annotations
@@ -251,6 +254,13 @@ def _knowledge_base(doc, path: Path) -> KnowledgeBase:
         name = entry.get("name")
         if not isinstance(name, str) or not name:
             raise DataError(f"class {pos} has no usable 'name'")
+        try:  # JSON's \ud800 escape gives a lone surrogate, which UTF-8 cannot encode
+            name.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise DataError(
+                f"class {pos} 'name' {name!r} is not valid Unicode text: {exc.reason} "
+                f"at character {exc.start}"
+            ) from None
         descriptions = entry.get("descriptions")
         if not isinstance(descriptions, list) or not all(
             isinstance(t, str) for t in descriptions
@@ -320,17 +330,19 @@ def read_labels(path, kb: KnowledgeBase) -> np.ndarray:
     into it), and surrounding whitespace is stripped from its token. A token
     of ASCII digits is an index, leading zeros allowed, even where a class
     has that name; any other token (``+1``, ``1_0``, non-ASCII digits) must
-    be a class name. Every token is looked up once in one table of names and
-    index strings.
+    be a class name. Each distinct line is resolved once, through one table
+    of names and index strings, into a memo that every later block reads.
 
     The reader holds the decoded text plus one block of whole lines (about
-    ``_LABEL_BLOCK_CHARS`` characters) and the int64 array it returns.
+    ``_LABEL_BLOCK_CHARS`` characters), the memo of distinct lines and the
+    int64 array it returns.
     """
     text = _read_text(path)
     if not text:
         raise DataError(f"{path}: label file is empty")
     table = {name: j for j, name in enumerate(kb.names) if name and not _is_index(name)}
     table.update((str(j), j) for j in range(kb.n_classes))
+    codes = {}  # each distinct line seen so far -> its class index
     end = len(text) - text.endswith("\n")  # a final newline ends the last line, starts none
     labels = np.empty(text.count("\n", 0, end) + 1, dtype=np.int64)
     row = start = 0
@@ -339,21 +351,25 @@ def read_labels(path, kb: KnowledgeBase) -> np.ndarray:
         stop = end if stop < 0 else stop
         lines = text[start:stop].split("\n")
         try:
-            labels[row : row + len(lines)] = np.fromiter(
-                map(table.__getitem__, _label_keys(lines)), np.int64, len(lines)
-            )
-        except KeyError:
-            bad = next(i for i, key in enumerate(_label_keys(lines)) if key not in table)
-            raise _label_error(path, kb, row + bad + 1, lines[bad].strip()) from None
+            block = np.fromiter(map(codes.__getitem__, lines), np.int64, len(lines))
+        except KeyError:  # a line not seen before: resolve this block's new lines
+            for line in set(lines).difference(codes):
+                key = _label_key(line.strip())
+                if key in table:
+                    codes[line] = table[key]
+            bad = next((i for i, line in enumerate(lines) if line not in codes), None)
+            if bad is not None:
+                raise _label_error(path, kb, row + bad + 1, lines[bad].strip()) from None
+            block = np.fromiter(map(codes.__getitem__, lines), np.int64, len(lines))
+        labels[row : row + len(lines)] = block
         row += len(lines)
         start = stop + 1
     return labels
 
 
-def _label_keys(lines):
-    """Each line's table key: an index's digits without leading zeros, else its token."""
-    tokens = map(str.strip, lines)  # _is_index inlined below
-    return (t.lstrip("0") or "0" if t.isascii() and t.isdigit() else t for t in tokens)
+def _label_key(token: str) -> str:
+    """A token's table key: an index's digits without leading zeros, else the token."""
+    return token.lstrip("0") or "0" if _is_index(token) else token
 
 
 def _label_error(path, kb: KnowledgeBase, lineno: int, token: str) -> DataError:
@@ -398,7 +414,8 @@ def _json(value, indent: str) -> str:
         items = (f"{json.dumps(k)}: {_json(v, inner)}" for k, v in value.items())
         return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
     if isinstance(value, (list, tuple)) and set(map(type, value)) == {int}:
-        items = map(int.__repr__, value)
+        reprs = {v: int.__repr__(v) for v in set(value)}  # one string per distinct value
+        items = map(reprs.__getitem__, value)
         return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
     return json.dumps(value, indent=2).replace("\n", "\n" + indent)
 
@@ -408,17 +425,95 @@ def write_report(doc, path) -> None:
 
     A flat list of ints (predictions, selected indices) is joined in one
     pass instead of through Python's indenting encoder, which spends about
-    half a microsecond on each list item.
+    half a microsecond on each list item; each distinct value is turned into
+    a string once. A list that mixes ints with booleans or floats is left to
+    ``json.dumps``.
     """
     Path(path).write_text(_json(doc, "") + "\n", encoding="utf-8")
 
 
+_DIGITS = np.frombuffer(b"0123456789", dtype=np.uint8)
+
+
 def write_predictions_csv(path, predictions, class_names) -> None:
-    """Two-column CSV: image index, predicted class name."""
-    fields = [
-        '"' + name.replace('"', '""') + '"' if any(c in name for c in ',"\r\n') else name
+    """Two-column CSV: image index, predicted class name.
+
+    Line ``i`` is ``f"{i},{field}\\n"``, where a name holding a comma, quote,
+    CR or LF is quoted with its quotes doubled, in UTF-8. ``predictions``
+    is any sequence of class indices, each taken as ``class_names[label]``
+    takes it: negative ones count from the end, and one that indexing
+    refuses raises what indexing raises, before the file is opened.
+
+    The bytes are built in numpy, one block per digit width of the index:
+    each class's ``",field\\n"`` suffix is encoded once into a table row,
+    and the digit columns are periodic, so they are filled by repetition.
+    Where the suffixes in a block differ in length, a mask by length drops
+    the padding.
+    """
+    suffixes = [
+        (',"' + name.replace('"', '""') + '"\n' if any(c in name for c in ',"\r\n')
+         else f",{name}\n").encode("utf-8")
         for name in class_names
     ]
-    lines = ["index,predicted_class_name"]
-    lines += [f"{i},{fields[label]}" for i, label in enumerate(predictions)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lens = np.fromiter(map(len, suffixes), dtype=np.intp, count=len(suffixes))
+    wide = int(lens.max(initial=0))
+    table = np.frombuffer(b"".join(s.ljust(wide, b"\0") for s in suffixes), dtype=np.uint8)
+    table = table.reshape(len(suffixes), wide)
+    labels = _class_rows(predictions, len(suffixes))
+    blocks = [b"index,predicted_class_name\n"]
+    lo, width = 0, 1
+    while lo < len(labels):  # the indices [lo, hi) all have `width` digits
+        hi = min(10 * lo or 10, len(labels))
+        rows = labels[lo:hi]
+        row_lens = lens[rows]
+        short, long = int(row_lens.min()), int(row_lens.max())
+        block = np.empty((hi - lo, width + long), dtype=np.uint8)
+        _fill_digits(block, lo, width)
+        np.take(table[:, :long], rows, axis=0, out=block[:, width:], mode="wrap")
+        if short != long:
+            block = block[np.arange(width + long) < (row_lens + width)[:, None]]
+        blocks.append(block)
+        lo, width = hi, width + 1
+    with open(path, "wb") as fh:
+        fh.writelines(blocks)
+
+
+def _class_rows(predictions, k: int) -> np.ndarray:
+    """``predictions`` as indices into a list of ``k`` items, each as list indexing takes it.
+
+    A 1-D integer array, or a list or tuple of ints in [0, 256), is checked
+    in one pass; only what fails that pass is indexed one at a time, so
+    the first prediction that indexing refuses raises what it raises.
+    Negative indices in [-k, 0) may come back as they are: ``np.take`` in
+    ``"wrap"`` mode counts them from the end, as list indexing does.
+    """
+    labels = None
+    if isinstance(predictions, np.ndarray):
+        if predictions.dtype.kind in "iu" and predictions.ndim == 1:
+            labels = predictions
+    elif isinstance(predictions, (list, tuple)):
+        try:  # bytearray takes each item's __index__, as list indexing does
+            labels = np.frombuffer(bytearray(predictions), dtype=np.uint8)
+        except (TypeError, ValueError):
+            pass
+    if labels is not None and (not labels.size or -k <= labels.min() <= labels.max() < k):
+        return labels
+    positions = list(range(k))
+    return np.fromiter(map(positions.__getitem__, predictions), dtype=np.intp)
+
+
+def _fill_digits(block: np.ndarray, lo: int, width: int) -> None:
+    """Write the ``width``-digit decimals ``lo``, ``lo + 1``, ... into ``block``'s first columns.
+
+    ``lo`` is 0 or a power of ten. Column ``width - 1 - c`` holds the digit
+    worth ``10**c``: runs of ``10**c`` equal digits, repeating every ten runs.
+    """
+    m = len(block)
+    for c in range(width):
+        run = 10**c
+        start = lo // run % 10  # 1 for the leading digit of a power of ten, else 0
+        cycle = np.repeat(_DIGITS[start : start - (-m // run)], run)  # at most ten runs
+        column = block[:, width - 1 - c]
+        full = m - m % len(cycle)
+        column[:full].reshape(-1, len(cycle))[:] = cycle
+        column[full:] = cycle[: m - full]

@@ -159,15 +159,20 @@ def retrieve(images, kb: KnowledgeBase, k: int) -> RetrievalResult:
     A description's score is its cosine with the arithmetic mean of the image
     rows, which is deliberately left unnormalized. The inputs are checked once,
     before any class is scored; only a non-finite mean makes ``as_matrix``
-    scan the images to name the entry.
+    scan the images to name the entry, and a mean of finite images that is
+    not finite has overflowed. Cosine does not depend on scale, so a finite
+    mean whose norm overflows is first divided by its largest magnitude.
     """
     mat = _as_2d(images, "image embeddings")
     if mat.shape[0] == 0:
         raise UsageError("cannot take the mean image feature of an empty dataset")
-    with np.errstate(invalid="ignore"):  # inf - inf
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf; a sum past 1.8e308
         feat = mat.mean(axis=0)
     if not np.all(np.isfinite(feat)):
         as_matrix(mat, "image embeddings")
+        raise DataError(
+            "the mean image feature overflows: the image entries sum past the float range"
+        )
     if feat.size != kb.dim:
         raise UsageError(
             f"mean image feature has dim {feat.size} but the knowledge base has dim {kb.dim}"
@@ -178,7 +183,11 @@ def retrieve(images, kb: KnowledgeBase, k: int) -> RetrievalResult:
                 f"k={k} exceeds the {rec.n_descriptions} descriptions "
                 f"of class {rec.name!r}"
             )
-    feat_norm = np.linalg.norm(feat)
+    with np.errstate(over="ignore"):
+        feat_norm = np.linalg.norm(feat)
+    if feat_norm == np.inf:  # finite entries above ~1e154 square past the float range
+        feat = feat / np.abs(feat).max()
+        feat_norm = np.linalg.norm(feat)
     if feat_norm == 0.0:
         raise DataError("mean image feature is the zero vector; scores are undefined")
     selected = []

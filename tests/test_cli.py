@@ -321,6 +321,20 @@ class TestExitCodes:
             "dim": "class 'class_00' embeddings have dim 8, expected 9",
         }[fault] in err[0]
 
+    def test_lone_surrogate_class_name_writes_nothing(self, cli_fixture, tmp_path, capsys):
+        doc = json.loads((cli_fixture / "kb.json").read_text())
+        doc["classes"][1]["name"] = "\ud800x"  # JSON's "\ud800x" escape reads back as this
+        kb = cli_fixture / "surrogate_kb.json"  # beside the fixture's kb.emb
+        kb.write_text(json.dumps(doc))
+        out = tmp_path / "r.json"
+        argv = _with(_pipeline_args(cli_fixture, out), "--kb", kb)
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"data error: {kb}: class 1 'name' '\\ud800x' is not valid Unicode text: "
+            "surrogates not allowed at character 0"
+        ]
+        assert list(tmp_path.iterdir()) == []
+
     def test_non_unit_row_in_the_embeddings_file_names_the_kb(
         self, cli_fixture, tmp_path, capsys
     ):

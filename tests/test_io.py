@@ -156,6 +156,18 @@ class TestKnowledgeBaseFile:
         with pytest.raises(DataError, match="alpha"):
             pio.read_knowledge_base(path)
 
+    def test_lone_surrogate_name_rejected_by_position(self, tmp_path):
+        path = tmp_path / "kb.json"
+        # the escape as JSON writes it; json.loads turns it into a lone surrogate
+        path.write_text(json.dumps(_kb_doc()).replace('"beta"', '"\\ud800x"'))
+        assert '"\\ud800x"' in path.read_text()
+        with pytest.raises(DataError) as err:
+            pio.read_knowledge_base(path)
+        assert str(err.value) == (
+            f"{path}: class 1 'name' '\\ud800x' is not valid Unicode text: "
+            "surrogates not allowed at character 0"
+        )
+
     def test_count_mismatch_rejected(self, tmp_path):
         doc = _kb_doc()
         doc["classes"][0]["descriptions"] = ["just one"]

@@ -7,8 +7,10 @@ read, and reports are the bytes ``json.dumps(doc, indent=2)`` gives.
 """
 
 import json
+import re
 import struct
 import zlib
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -215,9 +217,16 @@ def test_knowledge_base_rejects_any_boolean_entry(work, rows, field):
 # escapes and non-ASCII characters
 _REPORT_TEXT = st.text(alphabet=st.sampled_from('ab "\\/\n\t\x00é漢🙂\ud800'), max_size=8)
 _REPORT_KEYS = _REPORT_TEXT | st.integers() | st.floats() | st.booleans() | st.none()
+# long flat int lists of a few distinct values (as predictions are), past 64 bits
+# too, and lists of ints mixed with equal booleans or floats, which json.dumps
+# must write itself
+_FEW_INTS = st.lists(
+    st.integers() | st.sampled_from([2**64, -(2**63) - 1, -(10**30)]), min_size=1, max_size=3
+).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=20, max_size=300))
+_INT_LOOKALIKES = st.sampled_from([[1, True], [True, 1, 1], [0, False], [2, 2.0]])
 report_docs = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | _REPORT_TEXT
-    | st.lists(st.integers(), max_size=20),
+    | st.lists(st.integers(), max_size=20) | _FEW_INTS | _INT_LOOKALIKES,
     lambda inner: st.lists(inner, max_size=5)
     | st.lists(inner, max_size=3).map(tuple)
     | st.dictionaries(_REPORT_KEYS, inner, max_size=5),
@@ -232,6 +241,75 @@ def test_write_report_writes_the_bytes_of_json_dumps(work, doc):
     path = directory / "report.json"
     pio.write_report(doc, path)
     assert path.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+
+
+def write_predictions_csv_reference(path, predictions, class_names):
+    """The predictions CSV writer as it was before it built bytes in numpy, kept frozen.
+
+    One f-string per line: the index, a comma and the class's field, where a
+    name holding a comma, quote, CR or LF is quoted with its quotes doubled.
+    """
+    fields = [
+        '"' + name.replace('"', '""') + '"' if any(c in name for c in ',"\r\n') else name
+        for name in class_names
+    ]
+    lines = ["index,predicted_class_name"]
+    lines += [f"{i},{fields[label]}" for i, label in enumerate(predictions)]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+csv_names = st.lists(
+    st.text(alphabet=st.sampled_from(',"\r\nxyzé漢🙂'), max_size=7), min_size=1, max_size=6
+)
+
+
+@BOUNDED
+@given(
+    names=csv_names,
+    # every digit width up to five, and the first and last index of each
+    n=st.sampled_from([0, 1, 9, 10, 11, 99, 100, 1000, 10001]),
+    seed=st.integers(0, 2**32 - 1),
+    form=st.sampled_from(["list", "tuple", "int64", "uint8"]),
+)
+def test_predictions_csv_matches_frozen_reference(work, names, n, seed, form):
+    directory, _ = work
+    k = len(names)
+    low = 0 if form == "uint8" else -k  # negative indices count from the end
+    labels = np.random.default_rng(seed).integers(low, k, n)
+    predictions = {
+        "list": labels.tolist(), "tuple": tuple(labels.tolist()),
+        "int64": labels, "uint8": labels.astype(np.uint8),
+    }[form]
+    got, want = directory / "got.csv", directory / "want.csv"
+    pio.write_predictions_csv(got, predictions, names)
+    write_predictions_csv_reference(want, predictions, names)
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("predictions", [
+    [0, 3], [0, -4], [2**70], [1.0], [0, np.float64(1)], ["1"], [None], [np.array([1])],
+    [np.True_], np.array([True]), np.array([0.0, 1.0]), np.array([[0, 1]]),
+    np.array([0, 3]), np.array([0, -4]),
+    np.array([2**63], dtype=np.uint64), [0, 1, 9, 1.5], [0, 1.5, 9], 5,
+])
+def test_predictions_csv_refuses_what_indexing_refuses(work, predictions):
+    directory, _ = work
+    with pytest.raises(Exception) as want:
+        write_predictions_csv_reference(directory / "ref.csv", predictions, ["a", "b", "c"])
+    path = directory / "refused.csv"
+    path.unlink(missing_ok=True)
+    with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+        pio.write_predictions_csv(path, predictions, ["a", "b", "c"])
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("predictions", [[1, True], [False, 2], [np.int64(2), np.array(1)]])
+def test_predictions_csv_takes_what_indexing_takes(work, predictions):
+    directory, _ = work
+    got, want = directory / "took.csv", directory / "took_ref.csv"
+    pio.write_predictions_csv(got, predictions, ["a", "b", "c"])
+    write_predictions_csv_reference(want, predictions, ["a", "b", "c"])
+    assert got.read_bytes() == want.read_bytes()
 
 
 def _bits(values) -> np.ndarray:

@@ -85,6 +85,20 @@ class TestMeanImageFeature:
         with pytest.raises(UsageError):
             retrieve(np.zeros((0, 4)), kb, 1)
 
+    @pytest.mark.filterwarnings("error")
+    def test_finite_images_whose_mean_overflows_are_a_data_error(self):
+        kb = make_kb(np.random.default_rng(0), dim=3)
+        with pytest.raises(DataError, match="mean image feature overflows"):
+            retrieve(np.full((2, 3), 1e308), kb, 4)  # 1e308 + 1e308 is past the float range
+
+    @pytest.mark.filterwarnings("error")
+    def test_mean_whose_norm_overflows_scores_as_its_direction(self):
+        kb = make_kb(np.random.default_rng(0), dim=3)
+        huge, plain = _all_scores(np.full((2, 3), 1e200), kb), _all_scores(np.ones((2, 3)), kb)
+        for a, b in zip(huge[0] + huge[1], plain[0] + plain[1]):
+            np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(plain[0][0], np.arange(4))  # not the index-order fallback
+
 
 class TestScoreDescriptions:
     def test_aligned_description_scores_one(self):

@@ -22,9 +22,10 @@ def tool():
     return module
 
 
-def test_matrix_has_80_uniquely_labelled_invocations(tool):
+def test_matrix_has_the_documented_count_of_uniquely_labelled_invocations(tool):
     labels = [label for label, _ in tool.matrix(Path("fx"))]
-    assert len(labels) == 80
+    assert len(labels) == 83
+    assert "83 invocations a side" in " ".join(tool.__doc__.split())
     assert len(set(labels)) == len(labels)
 
 
@@ -51,6 +52,7 @@ def test_masked_replaces_the_output_directory_and_timings(tool):
 
 def test_main_removes_its_work_directory(tool, monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(tool, "FIXTURES", {"fx": (1, ["--n", "20", "--classes", "2", "--dim", "4"])})
+    monkeypatch.setattr(tool, "RENAMED", {})
 
     def one_eval(fixtures):
         fx = fixtures / "fx"

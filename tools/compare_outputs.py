@@ -17,8 +17,12 @@ knowledge base as its images (bad magic, which exits 2)
 and the fixture's own ``gen-fixture``, into the invocation's output
 directory; on the 300 x 5 fixtures, ``eval``, ``plan``,
 ``plan --tolerance 0`` and ``learn`` also run with the zero-mass marginal
-``[1, 0, 2, 1, 0]``. That is 80 invocations a side, covering every
-subcommand.
+``[1, 0, 2, 1, 0]``. One more fixture is a copy of fx42-300x5 whose five
+classes are renamed to names of mixed lengths, with a comma, a quote, a
+newline and non-ASCII text, and whose labels are class indices; on it run
+``eval --mode kpl_text``, ``eval --mode kpl_full`` and ``classify --mode
+kpl_text``, so the predictions CSV is compared for quoted fields of unequal
+lengths. That is 83 invocations a side, covering every subcommand.
 
 Compared are stdout, stderr, the exit code and every file an invocation
 writes, byte for byte. Before comparing, the invocation's own output
@@ -34,8 +38,10 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -50,6 +56,8 @@ FIXTURES = {  # name: (seed, gen-fixture size flags)
     "fx7-5000x20": (7, ["--n", "5000", "--classes", "20", "--dim", "128"]),
 }
 ZERO_MASS = "[1, 0, 2, 1, 0]"  # one weight per class of the 300 x 5 fixtures
+RENAMED = {"fx42-300x5-names": "fx42-300x5"}  # name: the fixture it copies
+AWKWARD_NAMES = ["a", 'lesion, "opaque"', "two\nlines", "nævus 漢🙂", "a much longer class name"]
 
 _WALL_TIME = re.compile(rb'("wall_time_s": )[-+0-9.eE]+')
 _MS_COLUMN = re.compile(rb"[0-9.]+ ms$", re.MULTILINE)
@@ -98,7 +106,34 @@ def matrix(fixtures: Path) -> list[tuple[str, list[str]]]:
                          ["plan", *inputs, *marginal, "--tolerance", "0", "--out", "{out}/plan.json"]))
             runs.append((f"{name} learn{tag}",
                          ["learn", *inputs, *marginal, "--out", "{out}/proxies.emb"]))
+    for name in RENAMED:
+        fx = fixtures / name
+        inputs = ["--images", str(fx / "images.emb"), "--kb", str(fx / "kb.json")]
+        labels = ["--labels", str(fx / "labels.txt")]
+        for mode in ("kpl_text", "kpl_full"):
+            runs.append((f"{name} eval {mode}",
+                         ["eval", "--mode", mode, *inputs, *labels, "--out", "{out}/report.json"]))
+        runs.append((f"{name} classify kpl_text",
+                     ["classify", "--mode", "kpl_text", *inputs, "--out", "{out}/predictions.csv"]))
     return runs
+
+
+def rename_classes(source: Path, out: Path) -> None:
+    """Copy the fixture ``source`` to ``out`` with AWKWARD_NAMES as its class names.
+
+    The labels become class indices, since a name with a newline cannot be a
+    label line.
+    """
+    shutil.copytree(source, out)
+    kb = json.loads((out / "kb.json").read_text(encoding="utf-8"))
+    old_names = [entry["name"] for entry in kb["classes"]]
+    for entry, name in zip(kb["classes"], AWKWARD_NAMES, strict=True):
+        entry["name"] = name
+    (out / "kb.json").write_text(json.dumps(kb, indent=2) + "\n", encoding="utf-8")
+    lines = (out / "labels.txt").read_text(encoding="utf-8").splitlines()
+    (out / "labels.txt").write_text(
+        "".join(f"{old_names.index(line)}\n" for line in lines), encoding="utf-8"
+    )
 
 
 def proxyot(src: Path, args: list[str]) -> subprocess.CompletedProcess:
@@ -166,6 +201,8 @@ def compare(old_src: Path, new_src: Path, work: Path) -> int:
         if made.returncode != 0:
             sys.stderr.write(made.stderr.decode())
             return 2
+    for name, source in RENAMED.items():
+        rename_classes(fixtures / source, fixtures / name)
     runs = matrix(fixtures)
     differing = 0
     for i, (label, args) in enumerate(runs):
