@@ -30,9 +30,9 @@ is optional in both.
 Reports, and the JSON half of a knowledge base, are written by
 ``write_report``: the bytes of ``json.dumps(doc, indent=2)`` plus a newline,
 with one join for each flat list of ints, through one string per distinct
-value. ``write_predictions_csv`` builds its CSV as bytes in numpy, one block
-per digit width of the index, and ``read_labels`` resolves each distinct
-line of a label file once.
+value. ``write_predictions_csv`` builds its CSV as bytes in numpy, in bounded
+blocks of rows whose indices share one digit width, and ``read_labels``
+resolves each distinct line of a label file once.
 """
 
 from __future__ import annotations
@@ -331,11 +331,12 @@ def read_labels(path, kb: KnowledgeBase) -> np.ndarray:
     of ASCII digits is an index, leading zeros allowed, even where a class
     has that name; any other token (``+1``, ``1_0``, non-ASCII digits) must
     be a class name. Each distinct line is resolved once, through one table
-    of names and index strings, into a memo that every later block reads.
+    of names and index strings, into a memo that later blocks read; a block
+    that finds the memo over twice the table's size empties it first.
 
     The reader holds the decoded text plus one block of whole lines (about
-    ``_LABEL_BLOCK_CHARS`` characters), the memo of distinct lines and the
-    int64 array it returns.
+    ``_LABEL_BLOCK_CHARS`` characters), the memo of at most twice the
+    table's lines plus one block's, and the int64 array it returns.
     """
     text = _read_text(path)
     if not text:
@@ -353,6 +354,8 @@ def read_labels(path, kb: KnowledgeBase) -> np.ndarray:
         try:
             block = np.fromiter(map(codes.__getitem__, lines), np.int64, len(lines))
         except KeyError:  # a line not seen before: resolve this block's new lines
+            if len(codes) > 2 * len(table):  # many spellings of a label: keep no old ones
+                codes.clear()
             for line in set(lines).difference(codes):
                 key = _label_key(line.strip())
                 if key in table:
@@ -432,7 +435,9 @@ def write_report(doc, path) -> None:
     Path(path).write_text(_json(doc, "") + "\n", encoding="utf-8")
 
 
-_DIGITS = np.frombuffer(b"0123456789", dtype=np.uint8)
+# Bytes per block of CSV rows: the writer holds the labels and one block of
+# rows (with its length mask) at a time, whatever the length of a class name.
+_CSV_BLOCK_BYTES = 1 << 20
 
 
 def write_predictions_csv(path, predictions, class_names) -> None:
@@ -444,11 +449,11 @@ def write_predictions_csv(path, predictions, class_names) -> None:
     takes it: negative ones count from the end, and one that indexing
     refuses raises what indexing raises, before the file is opened.
 
-    The bytes are built in numpy, one block per digit width of the index:
-    each class's ``",field\\n"`` suffix is encoded once into a table row,
-    and the digit columns are periodic, so they are filled by repetition.
-    Where the suffixes in a block differ in length, a mask by length drops
-    the padding.
+    The bytes are built in numpy, in blocks of rows whose indices have one
+    digit width (about ``_CSV_BLOCK_BYTES`` each): each class's ``",field\\n"``
+    suffix is encoded once into a table row, and the digits are written a
+    column at a time. Where the suffixes in a block differ in length, a
+    mask by length drops the padding.
     """
     suffixes = [
         (',"' + name.replace('"', '""') + '"\n' if any(c in name for c in ',"\r\n')
@@ -460,60 +465,50 @@ def write_predictions_csv(path, predictions, class_names) -> None:
     table = np.frombuffer(b"".join(s.ljust(wide, b"\0") for s in suffixes), dtype=np.uint8)
     table = table.reshape(len(suffixes), wide)
     labels = _class_rows(predictions, len(suffixes))
-    blocks = [b"index,predicted_class_name\n"]
-    lo, width = 0, 1
-    while lo < len(labels):  # the indices [lo, hi) all have `width` digits
-        hi = min(10 * lo or 10, len(labels))
-        rows = labels[lo:hi]
-        row_lens = lens[rows]
-        short, long = int(row_lens.min()), int(row_lens.max())
-        block = np.empty((hi - lo, width + long), dtype=np.uint8)
-        _fill_digits(block, lo, width)
-        np.take(table[:, :long], rows, axis=0, out=block[:, width:], mode="wrap")
-        if short != long:
-            block = block[np.arange(width + long) < (row_lens + width)[:, None]]
-        blocks.append(block)
-        lo, width = hi, width + 1
+    step = max(1, _CSV_BLOCK_BYTES // (wide + len(str(len(labels)))))  # rows per block
     with open(path, "wb") as fh:
-        fh.writelines(blocks)
+        fh.write(b"index,predicted_class_name\n")
+        first, width = 0, 1
+        while first < len(labels):  # the indices [first, end) all have `width` digits
+            end = min(10 * first or 10, len(labels))
+            for lo in range(first, end, step):
+                fh.write(_csv_rows(table, lens, labels, lo, min(lo + step, end), width))
+            first, width = end, width + 1
+
+
+def _csv_rows(table, lens, labels, lo: int, hi: int, width: int) -> np.ndarray:
+    """The CSV bytes of rows ``lo`` to ``hi``, whose indices all have ``width`` digits."""
+    rows = labels[lo:hi]
+    row_lens = lens[rows]
+    short, long = int(row_lens.min()), int(row_lens.max())
+    block = np.empty((hi - lo, width + long), dtype=np.uint8)
+    index = np.arange(lo, hi, dtype=np.min_scalar_type(hi))
+    for c in range(width - 1, -1, -1):  # the last digit first
+        block[:, c] = index % 10 + 48
+        index //= 10
+    # every row is in range; mode "raise" would also copy through a buffer
+    np.take(table[:, :long], rows, axis=0, out=block[:, width:], mode="clip")
+    if short != long:
+        block = block[np.arange(width + long) < (row_lens + width)[:, None]]
+    return block
 
 
 def _class_rows(predictions, k: int) -> np.ndarray:
     """``predictions`` as indices into a list of ``k`` items, each as list indexing takes it.
 
-    A 1-D integer array, or a list or tuple of ints in [0, 256), is checked
-    in one pass; only what fails that pass is indexed one at a time, so
-    the first prediction that indexing refuses raises what it raises.
-    Negative indices in [-k, 0) may come back as they are: ``np.take`` in
-    ``"wrap"`` mode counts them from the end, as list indexing does.
+    A list or tuple of ints in [0, min(k, 256)) is checked in one pass
+    through ``bytearray``; anything else is indexed one at a time through
+    a list of positions, so the first prediction that indexing refuses
+    raises what it raises, and a negative one comes back as the position
+    it counts to. Every index returned is in [0, k).
     """
-    labels = None
-    if isinstance(predictions, np.ndarray):
-        if predictions.dtype.kind in "iu" and predictions.ndim == 1:
-            labels = predictions
-    elif isinstance(predictions, (list, tuple)):
+    if isinstance(predictions, (list, tuple)):
         try:  # bytearray takes each item's __index__, as list indexing does
             labels = np.frombuffer(bytearray(predictions), dtype=np.uint8)
         except (TypeError, ValueError):
             pass
-    if labels is not None and (not labels.size or -k <= labels.min() <= labels.max() < k):
-        return labels
+        else:
+            if not labels.size or labels.max() < k:
+                return labels
     positions = list(range(k))
     return np.fromiter(map(positions.__getitem__, predictions), dtype=np.intp)
-
-
-def _fill_digits(block: np.ndarray, lo: int, width: int) -> None:
-    """Write the ``width``-digit decimals ``lo``, ``lo + 1``, ... into ``block``'s first columns.
-
-    ``lo`` is 0 or a power of ten. Column ``width - 1 - c`` holds the digit
-    worth ``10**c``: runs of ``10**c`` equal digits, repeating every ten runs.
-    """
-    m = len(block)
-    for c in range(width):
-        run = 10**c
-        start = lo // run % 10  # 1 for the leading digit of a power of ten, else 0
-        cycle = np.repeat(_DIGITS[start : start - (-m // run)], run)  # at most ten runs
-        column = block[:, width - 1 - c]
-        full = m - m % len(cycle)
-        column[:full].reshape(-1, len(cycle))[:] = cycle
-        column[full:] = cycle[: m - full]

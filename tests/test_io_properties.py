@@ -270,8 +270,10 @@ csv_names = st.lists(
     n=st.sampled_from([0, 1, 9, 10, 11, 99, 100, 1000, 10001]),
     seed=st.integers(0, 2**32 - 1),
     form=st.sampled_from(["list", "tuple", "int64", "uint8"]),
+    # blocks of a few bytes hold one row each; the default holds whole widths
+    block=st.integers(1, 40) | st.just(pio._CSV_BLOCK_BYTES),
 )
-def test_predictions_csv_matches_frozen_reference(work, names, n, seed, form):
+def test_predictions_csv_matches_frozen_reference(work, names, n, seed, form, block):
     directory, _ = work
     k = len(names)
     low = 0 if form == "uint8" else -k  # negative indices count from the end
@@ -281,7 +283,8 @@ def test_predictions_csv_matches_frozen_reference(work, names, n, seed, form):
         "int64": labels, "uint8": labels.astype(np.uint8),
     }[form]
     got, want = directory / "got.csv", directory / "want.csv"
-    pio.write_predictions_csv(got, predictions, names)
+    with mock.patch.object(pio, "_CSV_BLOCK_BYTES", block):
+        pio.write_predictions_csv(got, predictions, names)
     write_predictions_csv_reference(want, predictions, names)
     assert got.read_bytes() == want.read_bytes()
 
@@ -420,6 +423,11 @@ label_tokens = st.sampled_from(
 @example(names=["a"], tokens=["a", "0", "1"], newline="\r\n", trailing=False, bom=True, block=1)
 @example(names=["a"], tokens=["0", "a", ""], newline="\r\n", trailing=True, bom=True, block=3)
 @example(names=["a"], tokens=["00", "a", "a"], newline="\n", trailing=False, bom=False, block=4)
+# more spellings of one label than the memo keeps, then a bad line after it empties
+@example(
+    names=["a"], tokens=["a", " a", "a ", "0", "00", " 0", "a", "000", "b"],
+    newline="\n", trailing=True, bom=False, block=2,
+)
 def test_read_labels_matches_frozen_reference(
     work, names, tokens, newline, trailing, bom, block
 ):

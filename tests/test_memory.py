@@ -64,6 +64,38 @@ def test_read_labels_holds_the_text_and_one_block(tmp_path):
     assert peak <= 3 * size, f"peak {peak / size:.2f}x the file's bytes"
 
 
+def test_read_labels_memo_stays_bounded_when_every_line_differs(tmp_path):
+    """Lines spelled apart by their whitespace do not each stay in the memo.
+
+    When each of 200000 lines is a class name after its own run of 18
+    spaces and tabs, a memo of every distinct line held 5.9x the file's
+    bytes; the bounded memo holds 2.0x.
+    """
+    kb = make_kb(np.random.default_rng(0), n_classes=50, n_descriptions=1, dim=4)
+    rnd = random.Random(0)
+    path = tmp_path / "labels.txt"
+    path.write_text("".join(
+        format(i, "018b").replace("0", " ").replace("1", "\t") + f"{kb.names[rnd.randrange(50)]}\n"
+        for i in range(200_000)
+    ))
+    size = path.stat().st_size
+    peak = _peak_bytes(pio.read_labels, path, kb)
+    assert peak <= 3 * size, f"peak {peak / size:.2f}x the file's bytes"
+
+
+def test_predictions_csv_holds_one_block_whatever_the_name_lengths(tmp_path):
+    """The CSV is built a bounded block of rows at a time, not a row per longest name.
+
+    With one name of 1000 bytes among 100000 rows of a one-letter name, a
+    block per digit width took up to 100000 x 1006 bytes, with a mask as
+    large (peak 1.8e8 bytes); in blocks of ``_CSV_BLOCK_BYTES`` it is 2.4e6.
+    """
+    names = ["a", "b" * 1000]
+    predictions = [int(i % 1000 == 0) for i in range(100_000)]
+    peak = _peak_bytes(pio.write_predictions_csv, tmp_path / "p.csv", predictions, names)
+    assert peak <= 8 * pio._CSV_BLOCK_BYTES, f"peak {peak:.3g} bytes"
+
+
 def _classify_peak_beyond_output(images, w):
     """Tracemalloc peak of ``classify`` less its N-row output array.
 
